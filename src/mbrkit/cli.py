@@ -15,8 +15,9 @@ import multiprocessing as mp
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import IO
+from itertools import repeat
 
 from .decoder import decode
 from .errors import ConfigError, MbrError, ParseError, SchemaError
@@ -103,6 +104,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     jobs = args.jobs
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    # Output lines are written while the input is still being read.
+    if args.input and args.output and os.path.exists(args.output) \
+            and os.path.samefile(args.input, args.output):
+        raise ConfigError("--output must not be the --input file")
     return RunConfig(
         gain=gain,
         weighting=weighting,
@@ -210,101 +215,80 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_output(path: str | None) -> tuple[IO[str], bool]:
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+def _decode_record(inst: Instance, config: RunConfig) -> dict:
+    result = decode(
+        inst,
+        config.gain,
+        config.weighting,
+        tie_break=config.tie_break,
+        dedup_hypotheses=config.dedup_hypotheses,
+    )
+    return result_record(inst.id, result, config_echo(config))
 
 
-def _read_entries(path: str | None) -> list[tuple[str, object]]:
-    """Parse the input stream into ("inst", Instance) or ("err", message) entries."""
-    if path is None:
-        stream, owned = sys.stdin, False
-    else:
-        stream, owned = open(path, encoding="utf-8"), True
-    entries: list[tuple[str, object]] = []
-    try:
-        for line_no, raw in iter_lines(stream):
-            try:
-                entries.append(("inst", parse_instance_line(raw, line_no)))
-            except (ParseError, SchemaError) as exc:
-                entries.append(("err", str(exc)))
-    finally:
-        if owned:
-            stream.close()
-    return entries
-
-
-def _decode_payload(payload) -> tuple[str, object]:
-    inst, config = payload
-    try:
-        result = decode(
-            inst,
-            config.gain,
-            config.weighting,
-            tie_break=config.tie_break,
-            dedup_hypotheses=config.dedup_hypotheses,
-        )
-    except MbrError as exc:
-        return ("err", str(exc))
-    return ("ok", result_record(inst.id, result, config_echo(config)))
-
-
-def _matrix_payload(payload) -> tuple[str, object]:
-    inst, config = payload
+def _matrix_record(inst: Instance, config: RunConfig) -> dict:
     try:
         checked = validate_instance(inst, config.gain, WeightSpec(), config.dedup_hypotheses)
         matrix = gain_matrix(checked, config.gain)
     except MbrError as exc:
-        return ("err", f"instance {inst.id!r}: {exc}")
-    record = {
+        raise MbrError(f"instance {inst.id!r}: {exc}") from exc
+    return {
         "id": inst.id,
         "gain_matrix": [[float(v) for v in row] for row in matrix],
         "config_echo": _matrix_echo(config),
     }
-    return ("ok", record)
 
 
-def _run_batch(config: RunConfig, worker) -> int:
-    entries = _read_entries(config.input)
-    instances = [e for kind, e in entries if kind == "inst"]
-    payloads = [(inst, config) for inst in instances]
-    if config.jobs > 1 and len(payloads) > 1:
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else methods[0])
-        with ProcessPoolExecutor(max_workers=config.jobs, mp_context=ctx) as pool:
-            outcomes = list(pool.map(worker, payloads))
-    else:
-        outcomes = [worker(p) for p in payloads]
+def _process_line(numbered: tuple[int, str], config: RunConfig, record_fn) -> tuple[bool, str]:
+    """One input line as (True, output line) or (False, error text).
 
-    stream, owned = _open_output(config.output)
-    failed = 0
+    The only place a per-line failure becomes an error: any exception is
+    caught here, in the worker that raised it, so one bad line never stops
+    the batch and every ``--jobs`` count reports it the same way.
+    """
+    line_no, raw = numbered
     try:
-        cursor = iter(outcomes)
-        for kind, entry in entries:
-            if kind == "err":
-                failed += 1
-                print(entry, file=sys.stderr)
-                continue
-            status, payload = next(cursor)
-            if status == "err":
-                failed += 1
-                print(payload, file=sys.stderr)
+        return True, dumps(record_fn(parse_instance_line(raw, line_no), config))
+    except (ParseError, SchemaError) as exc:
+        return False, str(exc)
+    except MbrError as exc:
+        return False, f"line {line_no}: {exc}"
+    except Exception as exc:
+        return False, f"line {line_no}: {type(exc).__name__}: {exc}"
+
+
+def _run_batch(config: RunConfig, record_fn) -> int:
+    """Stream the input through ``_process_line``, writing each outcome in
+    input order as it arrives; results go to the output, errors to stderr."""
+    failed = 0
+    with ExitStack() as stack:
+        source = sys.stdin
+        if config.input is not None:
+            source = stack.enter_context(open(config.input, encoding="utf-8"))
+        sink = sys.stdout
+        if config.output is not None:
+            sink = stack.enter_context(open(config.output, "w", encoding="utf-8", newline="\n"))
+        mapper = map
+        if config.jobs > 1:
+            methods = mp.get_all_start_methods()
+            ctx = mp.get_context("fork" if "fork" in methods else methods[0])
+            pool = ProcessPoolExecutor(max_workers=config.jobs, mp_context=ctx)
+            mapper = stack.enter_context(pool).map
+        for ok, text in mapper(_process_line, iter_lines(source), repeat(config), repeat(record_fn)):
+            if ok:
+                sink.write(text + "\n")
             else:
-                stream.write(dumps(payload) + "\n")
-    finally:
-        if owned:
-            stream.close()
+                failed += 1
+                print(text, file=sys.stderr)
     return 1 if failed else 0
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    return _run_batch(config_from_args(args), _decode_payload)
+    return _run_batch(config_from_args(args), _decode_record)
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
-    config = config_from_args(args)
-    return _run_batch(config, _matrix_payload)
+    return _run_batch(config_from_args(args), _matrix_record)
 
 
 def cmd_fixtures(args: argparse.Namespace) -> int:

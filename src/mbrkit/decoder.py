@@ -61,16 +61,17 @@ def select(
 ) -> tuple[int, bool]:
     """Index of the winning hypothesis and whether a tie rule was applied.
 
-    Hypotheses whose expected gain is within 1e-12 (absolute) of the
-    maximum are tied. ``first`` keeps the lowest index, ``highest_score``
-    prefers the largest candidate score (missing scores rank lowest), and
-    ``longest`` prefers the most tokens; both fall back to the lowest
-    index among remaining equals.
+    Hypotheses whose expected gain is within 1e-12 times the largest
+    absolute gain of the maximum are tied, so ties do not depend on the
+    scale of the gains; an all-zero vector is one tie. ``first`` keeps
+    the lowest index, ``highest_score`` prefers the largest candidate
+    score (missing scores rank lowest), and ``longest`` prefers the most
+    tokens; both fall back to the lowest index among remaining equals.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.size == 0:
         raise MbrError("cannot select from an empty gain vector")
-    tied = np.flatnonzero(gains >= gains.max() - TIE_ATOL)
+    tied = np.flatnonzero(gains >= gains.max() - TIE_ATOL * np.abs(gains).max())
     if len(tied) == 1 or tie_break == "first":
         return int(tied[0]), len(tied) > 1
     if tie_break == "highest_score":
@@ -103,7 +104,6 @@ def decode(
     weight_spec: WeightSpec | None = None,
     tie_break: str = "first",
     dedup_hypotheses: bool = False,
-    jobs: int = 1,
 ) -> DecodeResult:
     """Run the full pipeline on one instance and return the selection.
 
@@ -116,7 +116,7 @@ def decode(
     weight_spec = weight_spec if weight_spec is not None else WeightSpec()
     try:
         inst = validate_instance(inst, gain_spec, weight_spec, dedup_hypotheses)
-        matrix = gain_matrix(inst, gain_spec, jobs=jobs)
+        matrix = gain_matrix(inst, gain_spec)
         wv = compute_weights(inst, weight_spec, gain_spec)
         gains = expected_gains(matrix, wv.weights)
         index, tie_broken = select(gains, inst.hypotheses, tie_break, gain_spec)

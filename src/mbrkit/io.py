@@ -51,6 +51,15 @@ def dumps(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _parse_number(value, line: int, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(line, where, "must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(line, where, "number out of range") from None
+
+
 def _parse_candidate(obj, line: int, where: str) -> Candidate:
     if not isinstance(obj, dict):
         raise SchemaError(line, where, "candidate must be an object")
@@ -64,9 +73,7 @@ def _parse_candidate(obj, line: int, where: str) -> Candidate:
         tokens = tuple(tokens)
     score = obj.get("score")
     if score is not None:
-        if isinstance(score, bool) or not isinstance(score, (int, float)):
-            raise SchemaError(line, f"{where}.score", "must be a number")
-        score = float(score)
+        score = _parse_number(score, line, f"{where}.score")
     answer = obj.get("answer")
     if answer is not None and not isinstance(answer, str):
         raise SchemaError(line, f"{where}.answer", "must be a string")
@@ -88,6 +95,8 @@ def parse_instance_line(raw: str, line: int) -> Instance:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(line, f"invalid JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError(line, "nesting too deep") from None
     if not isinstance(obj, dict):
         raise SchemaError(line, "", "top-level value must be an object")
     inst_id = obj.get("id")
@@ -104,11 +113,10 @@ def parse_instance_line(raw: str, line: int) -> Instance:
         rows = obj["external_gain"]
         if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
             raise SchemaError(line, "external_gain", "must be an array of arrays of numbers")
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise SchemaError(line, f"external_gain[{i}][{j}]", "must be a number")
-        external = tuple(tuple(float(v) for v in row) for row in rows)
+        external = tuple(
+            tuple(_parse_number(v, line, f"external_gain[{i}][{j}]") for j, v in enumerate(row))
+            for i, row in enumerate(rows)
+        )
     return Instance(id=inst_id, evidence=evidence, hypotheses=hypotheses, external_gain=external)
 
 

@@ -257,9 +257,10 @@ def gain_matrix(inst: Instance, spec: GainSpec, jobs: int = 1) -> np.ndarray:
     """Pairwise gain table: entry (i, j) = G(evidence_i, hypothesis_j).
 
     Tokenization and n-gram counting happen once per candidate, never per
-    pair. With ``jobs`` > 1 the evidence rows are partitioned across a
-    worker pool; every cell's arithmetic is identical to the sequential
-    evaluation, so the result does not depend on the partitioning.
+    pair. For ``rouge_n_kernel`` with ``jobs`` > 1 the evidence rows are
+    partitioned across a thread pool; every cell's arithmetic is identical
+    to the sequential evaluation, so the result does not depend on the
+    partitioning. Other gains ignore ``jobs``.
     ``kind='external'`` returns the instance's precomputed matrix as-is.
     """
     hyps = inst.hypotheses if inst.hypotheses is not None else inst.evidence
@@ -304,20 +305,12 @@ def gain_matrix(inst: Instance, spec: GainSpec, jobs: int = 1) -> np.ndarray:
         ev_pre = [(len(t), _order_counters(t, order)) for t in ev_tokens]
         hyp_pre = [(len(t), _order_counters(t, order)) for t in hyp_tokens]
 
-        def bleu_block(rows: slice) -> np.ndarray:
-            block = np.empty((len(ev_pre[rows]), len(hyp_pre)), dtype=np.float64)
-            for bi, (ref_len, ref_counters) in enumerate(ev_pre[rows]):
-                for j, (hyp_len, hyp_counters) in enumerate(hyp_pre):
-                    block[bi, j] = _sentence_bleu_from_counts(
-                        ref_len, ref_counters, hyp_len, hyp_counters, order
-                    )
-            return block
-
-        blocks = _row_blocks(len(ev_pre), jobs)
-        if len(blocks) == 1:
-            return bleu_block(blocks[0])
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            parts = list(pool.map(bleu_block, blocks))
-        return np.vstack(parts)
+        matrix = np.empty((len(ev_pre), len(hyp_pre)), dtype=np.float64)
+        for i, (ref_len, ref_counters) in enumerate(ev_pre):
+            for j, (hyp_len, hyp_counters) in enumerate(hyp_pre):
+                matrix[i, j] = _sentence_bleu_from_counts(
+                    ref_len, ref_counters, hyp_len, hyp_counters, order
+                )
+        return matrix
 
     raise MbrError(f"unsupported gain kind {spec.kind!r}")

@@ -93,6 +93,22 @@ class TestParsing:
         )
         assert inst.external_gain == ((0.5,),)
 
+    def test_number_out_of_range_reports_field(self):
+        huge = str(10**400)
+        with pytest.raises(SchemaError) as err:
+            parse_instance_line('{"id":"1","evidence":[{"text":"a","score":%s}]}' % huge, 4)
+        assert err.value.field == "evidence[0].score"
+        with pytest.raises(SchemaError) as err:
+            parse_instance_line(
+                '{"id":"1","evidence":[{"text":"a"}],"external_gain":[[%s]]}' % huge, 4
+            )
+        assert err.value.field == "external_gain[0][0]"
+
+    def test_deep_nesting_reports_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_instance_line("[" * 100000 + "]" * 100000, 5)
+        assert err.value.line == 5
+
     def test_read_instances_skips_blank_lines(self):
         stream = io.StringIO('{"id":"1","evidence":[{"text":"a"}]}\n\n'
                              '{"id":"2","evidence":[{"text":"b"}]}\n')
@@ -199,6 +215,13 @@ class TestDecodeCommand:
                     "--input", str(inp)]) == 2
         capsys.readouterr()
 
+    def test_output_over_input_is_a_config_error(self, tmp_path, capsys):
+        inp = self.write_input(tmp_path, ['{"id":"1","evidence":[{"text":"a"}]}'])
+        before = inp.read_bytes()
+        assert run(["decode", "--input", str(inp), "--output", str(inp)]) == 2
+        assert inp.read_bytes() == before
+        assert "--output" in capsys.readouterr().err
+
     def test_unknown_flag_exit_code(self, capsys):
         assert run(["decode", "--wat"]) == 2
         capsys.readouterr()
@@ -218,6 +241,98 @@ class TestDecodeCommand:
         assert out1.read_bytes() == out4.read_bytes()
         ids = [json.loads(line)["id"] for line in out1.read_text().splitlines()]
         assert ids == [f"i{k:02d}" for k in range(24)]
+
+    def run_captured(self, capsys, argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err.splitlines()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_number_out_of_range_is_a_line_error(self, tmp_path, capsys, jobs):
+        inp = self.write_input(tmp_path, [
+            '{"id":"ok","evidence":[{"text":"a"}]}',
+            '{"id":"big","evidence":[{"text":"a","score":%s}]}' % (10**400),
+        ])
+        code, out, err = self.run_captured(capsys, ["decode", "--jobs", jobs, "--input", str(inp)])
+        assert code == 1
+        assert [json.loads(line)["id"] for line in out.splitlines()] == ["ok"]
+        assert len(err) == 1 and "line 2" in err[0]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_deep_nesting_is_a_line_error(self, tmp_path, capsys, jobs):
+        inp = self.write_input(tmp_path, [
+            '{"id":"ok","evidence":[{"text":"a"}]}',
+            "[" * 100000 + "]" * 100000,
+        ])
+        code, out, err = self.run_captured(capsys, ["decode", "--jobs", jobs, "--input", str(inp)])
+        assert code == 1
+        assert [json.loads(line)["id"] for line in out.splitlines()] == ["ok"]
+        assert len(err) == 1 and "line 2" in err[0]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unexpected_exception_is_a_line_error(self, tmp_path, capsys, monkeypatch, jobs):
+        from mbrkit import cli
+
+        real_decode = cli.decode
+
+        def flaky_decode(inst, *args, **kwargs):
+            if inst.id == "boom":
+                raise RuntimeError("unexpected")
+            return real_decode(inst, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "decode", flaky_decode)
+        inp = self.write_input(tmp_path, [
+            '{"id":"a","evidence":[{"text":"a"}]}',
+            '{"id":"boom","evidence":[{"text":"a"}]}',
+            '{"id":"b","evidence":[{"text":"b"}]}',
+        ])
+        code, out, err = self.run_captured(capsys, ["decode", "--jobs", jobs, "--input", str(inp)])
+        assert code == 1
+        assert [json.loads(line)["id"] for line in out.splitlines()] == ["a", "b"]
+        assert err == ["line 2: RuntimeError: unexpected"]
+
+    def test_each_line_is_written_before_the_next_is_parsed(self, tmp_path, capsys,
+                                                            monkeypatch):
+        from mbrkit import cli
+
+        written_before = []
+
+        def parse(raw, line_no):
+            written_before.append(capsys.readouterr().out.count("\n"))
+            return parse_instance_line(raw, line_no)
+
+        monkeypatch.setattr(cli, "parse_instance_line", parse)
+        inp = self.write_input(tmp_path, [
+            f'{{"id":"{k}","evidence":[{{"text":"a"}}]}}' for k in range(3)
+        ])
+        assert run(["decode", "--input", str(inp)]) == 0
+        assert written_before == [0, 1, 1]
+
+    def test_jobs_isolate_bad_lines_identically(self, tmp_path, capsys):
+        lines, bad = [], []
+        for k in range(12):
+            if k % 4 == 1:
+                lines.append("not json")
+                bad.append(len(lines))
+            elif k % 4 == 3:
+                lines.append(f'{{"id":"e{k:02d}","evidence":[]}}')
+                bad.append(len(lines))
+            else:
+                lines.append(f'{{"id":"i{k:02d}","evidence":[{{"text":"a b"}},{{"text":"b"}}]}}')
+        inp = self.write_input(tmp_path, lines)
+        good = [f"i{k:02d}" for k in range(12) if k % 2 == 0]
+        runs = {jobs: self.run_captured(capsys, ["decode", "--jobs", jobs, "--input", str(inp)])
+                for jobs in ("1", "4")}
+        assert runs["1"] == runs["4"]
+        code, out, err = runs["1"]
+        assert code == 1
+        assert [json.loads(line)["id"] for line in out.splitlines()] == good
+        assert [int(e.split()[1].rstrip(":,")) for e in err] == bad
+
+        code, out, err = self.run_captured(capsys, ["matrix", "--jobs", "2", "--input", str(inp)])
+        assert code == 1
+        assert [json.loads(line)["id"] for line in out.splitlines()] == good
+        assert [int(e.split()[1].rstrip(":,")) for e in err] == bad
 
     def test_degenerate_beta_matches_uniform_modulo_echo(self, tmp_path):
         inp = self.write_input(tmp_path, [

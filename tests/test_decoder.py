@@ -107,6 +107,12 @@ class TestSelect:
         hyps = (Candidate(text="x"), Candidate(text="y"))
         assert select(np.array([0.5, 0.5 - 1e-9]), hyps) == (0, False)
 
+    def test_tolerance_scales_with_the_gains(self):
+        hyps = (Candidate(text="x"), Candidate(text="y"))
+        assert select(np.array([0.0, 1e-13]), hyps) == (1, False)
+        assert select(np.array([1e6, 1e6 - 5e-10]), hyps) == (0, True)
+        assert select(np.zeros(2), hyps) == (0, True)
+
 
 class TestDecode:
     def test_mode_recovery_example(self):
@@ -199,6 +205,16 @@ class TestDecode:
             b = decode(external, GainSpec(kind="external"), UNIFORM)
             assert a.selected_index == b.selected_index
             assert a.gain_estimates == b.gain_estimates
+
+    def test_small_external_gains_do_not_tie(self):
+        inst = Instance(
+            id="t",
+            evidence=(Candidate(text="a"), Candidate(text="b")),
+            external_gain=((0.0, 1e-13), (0.0, 1e-13)),
+        )
+        result = decode(inst, GainSpec(kind="external"), UNIFORM)
+        assert result.selected_index == 1
+        assert result.tie_broken is False
 
     def test_dedup_hypotheses_changes_slate(self):
         inst = Instance(
