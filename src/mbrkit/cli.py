@@ -248,7 +248,9 @@ def _process_line(numbered: tuple[int, str], config: RunConfig, record_fn) -> tu
     """
     line_no, raw = numbered
     try:
-        return True, dumps(record_fn(parse_instance_line(raw, line_no), config))
+        text = dumps(record_fn(parse_instance_line(raw, line_no), config))
+        text.encode("utf-8")  # a lone surrogate escaped in the JSON cannot be written
+        return True, text
     except (ParseError, SchemaError) as exc:
         return False, str(exc)
     except MbrError as exc:
@@ -262,9 +264,12 @@ def _run_batch(config: RunConfig, record_fn) -> int:
     input order as it arrives; results go to the output, errors to stderr."""
     failed = 0
     with ExitStack() as stack:
-        source = sys.stdin
-        if config.input is not None:
-            source = stack.enter_context(open(config.input, encoding="utf-8"))
+        # Bytes that are not UTF-8 decode to lone surrogates, which
+        # parse_instance_line reports as a line error.
+        source = stack.enter_context(open(
+            sys.stdin.fileno() if config.input is None else config.input,
+            encoding="utf-8", errors="surrogateescape", closefd=config.input is not None,
+        ))
         sink = sys.stdout
         if config.output is not None:
             sink = stack.enter_context(open(config.output, "w", encoding="utf-8", newline="\n"))

@@ -2,10 +2,11 @@
 
 The core estimator scores each hypothesis by the weighted sum of its
 pairwise gains against the evidence multiset and picks the argmax.
-``self_consistency`` and ``range_vote`` are thin reformulations (majority
-vote over answers, mean utility over a rated slate) kept as separate code
-paths so their agreement with ``decode`` can be checked rather than
-assumed.
+``self_consistency`` is decoding with the answer-match gain and uniform
+weights, plus a vote tally. ``range_vote`` (mean utility over a rated
+slate) shares the gain matrix with ``decode`` but reduces it in its own
+loop, so the two reductions check each other rather than being assumed
+to agree.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MbrError, ShapeMismatchError
-from .metrics import candidate_tokens, gain_matrix, pair_gain
+from .metrics import candidate_tokens, gain_matrix
 from .types import (
+    TIE_BREAKS,
     Candidate,
     DecodeResult,
     GainSpec,
@@ -67,7 +69,10 @@ def select(
     the lowest index, ``highest_score`` prefers the largest candidate
     score (missing scores rank lowest), and ``longest`` prefers the most
     tokens; both fall back to the lowest index among remaining equals.
+    An unknown rule is rejected whether or not there is a tie.
     """
+    if tie_break not in TIE_BREAKS:
+        raise MbrError(f"unknown tie_break {tie_break!r}")
     gains = np.asarray(gains, dtype=float)
     if gains.size == 0:
         raise MbrError("cannot select from an empty gain vector")
@@ -78,13 +83,11 @@ def select(
         def key(i: int) -> float:
             score = hypotheses[i].score
             return -math.inf if score is None else score
-    elif tie_break == "longest":
+    else:
         spec = gain_spec if gain_spec is not None else GainSpec()
 
         def key(i: int) -> float:
             return float(len(candidate_tokens(hypotheses[i], spec)))
-    else:
-        raise MbrError(f"unknown tie_break {tie_break!r}")
     best = max(tied, key=lambda i: (key(i), -i))
     return int(best), True
 
@@ -96,6 +99,24 @@ def _reraise_with_id(exc: MbrError, instance_id: str) -> MbrError:
         wrapped = MbrError(f"instance {instance_id!r}: {exc}")
     wrapped.__cause__ = exc
     return wrapped
+
+
+def _decode_validated(
+    inst: Instance, gain_spec: GainSpec, weight_spec: WeightSpec, tie_break: str
+) -> DecodeResult:
+    """The pipeline after validation, on an instance already validated."""
+    matrix = gain_matrix(inst, gain_spec)
+    wv = compute_weights(inst, weight_spec, gain_spec)
+    gains = expected_gains(matrix, wv.weights)
+    index, tie_broken = select(gains, inst.hypotheses, tie_break, gain_spec)
+    return DecodeResult(
+        selected_index=index,
+        selected_text=inst.hypotheses[index].text,
+        gain_estimates=tuple(float(g) for g in gains),
+        weights=tuple(float(w) for w in wv.weights),
+        tie_broken=tie_broken,
+        ess=wv.ess,
+    )
 
 
 def decode(
@@ -115,21 +136,10 @@ def decode(
     gain_spec = gain_spec if gain_spec is not None else GainSpec()
     weight_spec = weight_spec if weight_spec is not None else WeightSpec()
     try:
-        inst = validate_instance(inst, gain_spec, weight_spec, dedup_hypotheses)
-        matrix = gain_matrix(inst, gain_spec)
-        wv = compute_weights(inst, weight_spec, gain_spec)
-        gains = expected_gains(matrix, wv.weights)
-        index, tie_broken = select(gains, inst.hypotheses, tie_break, gain_spec)
+        checked = validate_instance(inst, gain_spec, weight_spec, dedup_hypotheses)
+        return _decode_validated(checked, gain_spec, weight_spec, tie_break)
     except MbrError as exc:
         raise _reraise_with_id(exc, inst.id) from exc
-    return DecodeResult(
-        selected_index=index,
-        selected_text=inst.hypotheses[index].text,
-        gain_estimates=tuple(float(g) for g in gains),
-        weights=tuple(float(w) for w in wv.weights),
-        tie_broken=tie_broken,
-        ess=wv.ess,
-    )
 
 
 def self_consistency(
@@ -145,15 +155,10 @@ def self_consistency(
     attached to the result.
     """
     gain_spec = GainSpec(kind="answer_match")
-    result = decode(
-        inst,
-        gain_spec,
-        WeightSpec(kind="uniform"),
-        tie_break=tie_break,
-        dedup_hypotheses=dedup_hypotheses,
-    )
+    weight_spec = WeightSpec(kind="uniform")
     try:
-        checked = validate_instance(inst, gain_spec, WeightSpec(), dedup_hypotheses)
+        checked = validate_instance(inst, gain_spec, weight_spec, dedup_hypotheses)
+        result = _decode_validated(checked, gain_spec, weight_spec, tie_break)
         tally = Counter(c.answer.strip() for c in checked.evidence)
         winner = checked.hypotheses[result.selected_index].answer.strip()
     except MbrError as exc:
@@ -170,23 +175,20 @@ def range_vote(
     """Range voting over the hypothesis slate with evidence as voters.
 
     Each evidence candidate rates every hypothesis with the gain function
-    and each hypothesis receives its mean rating. Totals accumulate in a
-    plain Python loop, deliberately not sharing the matrix-reduction code
-    so the two routes check each other.
+    and each hypothesis receives its mean rating. The ratings are the
+    rows of the same gain matrix ``decode`` uses; totals accumulate over
+    them in a plain Python loop, in evidence order, deliberately not
+    sharing the weighted reduction of :func:`expected_gains`, so the two
+    routes check each other.
     """
     gain_spec = gain_spec if gain_spec is not None else GainSpec()
     try:
         inst = validate_instance(inst, gain_spec, WeightSpec(), dedup_hypotheses)
         n = len(inst.evidence)
         totals = [0.0] * len(inst.hypotheses)
-        if gain_spec.kind == "external":
-            for row in inst.external_gain:
-                for j, rating in enumerate(row):
-                    totals[j] += float(rating)
-        else:
-            for voter in inst.evidence:
-                for j, hyp in enumerate(inst.hypotheses):
-                    totals[j] += pair_gain(voter, hyp, gain_spec)
+        for row in gain_matrix(inst, gain_spec).tolist():
+            for j, rating in enumerate(row):
+                totals[j] += rating
         means = np.array([t / n for t in totals])
         index, tie_broken = select(means, inst.hypotheses, tie_break, gain_spec)
     except MbrError as exc:

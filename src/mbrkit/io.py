@@ -90,7 +90,15 @@ def _parse_candidates(value, line: int, where: str) -> tuple[Candidate, ...]:
 
 
 def parse_instance_line(raw: str, line: int) -> Instance:
-    """One JSONL line as an Instance; unknown fields are ignored."""
+    """One JSONL line as an Instance; unknown fields are ignored.
+
+    Input bytes that are not UTF-8 reach here as lone surrogates (read
+    with ``errors="surrogateescape"``) and are rejected as a ParseError.
+    """
+    try:
+        raw.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError(line, "not valid UTF-8") from None
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -171,16 +179,6 @@ def result_record(inst_id: str, result: DecodeResult, config_echo: dict) -> dict
         "tie_broken": result.tie_broken,
         "config_echo": config_echo,
     }
-
-
-def write_results(
-    results: Iterable[tuple[str, DecodeResult]],
-    stream: IO[str],
-    config_echo: dict,
-) -> None:
-    """Emit one result line per (instance id, result) pair, in input order."""
-    for inst_id, result in results:
-        stream.write(dumps(result_record(inst_id, result, config_echo)) + "\n")
 
 
 def iter_lines(stream: IO[str]) -> Iterator[tuple[int, str]]:

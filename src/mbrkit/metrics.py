@@ -1,16 +1,19 @@
 """Tokenization, sparse n-gram counts, and the built-in pairwise gain functions.
 
 Every gain here maps a (evidence, hypothesis) candidate pair into [0, 1].
-The n-gram overlap kernel is computed in its signed-difference form,
+:func:`gain_matrix` holds the only implementation of each gain, batched
+over all pairs of an instance; :func:`pair_gain` is its 1x1 case.
+The n-gram overlap kernel is defined in its signed-difference form,
 
     K(y, y') = 1 - |T(y) - T(y')|_1 / (|T(y)|_1 + |T(y')|_1)
 
-over sparse count vectors T; by the L1 identity this equals
-2 * sum_g min(T[g], T'[g]) / (|T|_1 + |T'|_1), which is what the batched
-matrix path exploits. Sentence BLEU follows the sacrebleu conventions:
-clipped precisions, effective order, exponential smoothing (the k-th
-zero-match order contributes 1 / (2^k * total_n)), and the standard
-brevity penalty.
+over sparse count vectors T (:func:`rouge_kernel` computes it this way
+for one pair); by the L1 identity this equals
+2 * sum_g min(T[g], T'[g]) / (|T|_1 + |T'|_1), which is what the matrix
+computes for all pairs at once. Sentence BLEU follows the sacrebleu
+conventions: clipped precisions, effective order, exponential smoothing
+(the k-th zero-match order contributes 1 / (2^k * total_n)), and the
+standard brevity penalty; an empty hypothesis scores 0.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import MbrError, MissingAnswerError, OrderMismatchError
+from .errors import MatrixShapeMismatchError, MbrError, MissingAnswerError, OrderMismatchError
 from .types import Candidate, GainSpec, Instance
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
@@ -95,22 +98,10 @@ def rouge_kernel(a: NgramCounts, b: NgramCounts) -> float:
     return 1.0 - l1 / denom
 
 
-def gain_exact_match(y: Candidate, y_prime: Candidate, spec: GainSpec) -> float:
-    """1.0 iff the two token sequences are equal after normalization."""
-    return 1.0 if candidate_tokens(y, spec) == candidate_tokens(y_prime, spec) else 0.0
-
-
 def _stripped_answer(c: Candidate, context: str) -> str:
     if c.answer is None:
         raise MissingAnswerError(f"{context} has no extracted answer")
     return c.answer.strip()
-
-
-def gain_answer_match(y: Candidate, y_prime: Candidate) -> float:
-    """1.0 iff the extracted answers agree after trimming whitespace."""
-    a = _stripped_answer(y, "evidence candidate")
-    b = _stripped_answer(y_prime, "hypothesis candidate")
-    return 1.0 if a == b else 0.0
 
 
 def _order_counters(tokens: tuple[str, ...], max_order: int) -> list[Counter]:
@@ -154,41 +145,6 @@ def _sentence_bleu_from_counts(
     if hyp_len < ref_len:
         score *= math.exp(1.0 - ref_len / hyp_len)
     return score
-
-
-def gain_sentence_bleu(y: Candidate, y_prime: Candidate, spec: GainSpec) -> float:
-    """Sentence BLEU of hypothesis ``y_prime`` against single reference ``y``.
-
-    Geometric mean of clipped n-gram precisions for orders 1..max_order
-    (truncated to the effective order the hypothesis can support), with
-    exponential smoothing of zero-match orders and brevity penalty
-    min(1, exp(1 - ref_len/hyp_len)). An empty hypothesis scores 0.
-    Not symmetric in its arguments.
-    """
-    ref = candidate_tokens(y, spec)
-    hyp = candidate_tokens(y_prime, spec)
-    return _sentence_bleu_from_counts(
-        len(ref),
-        _order_counters(ref, spec.max_order),
-        len(hyp),
-        _order_counters(hyp, spec.max_order),
-        spec.max_order,
-    )
-
-
-def pair_gain(y: Candidate, y_prime: Candidate, spec: GainSpec) -> float:
-    """Scalar gain G(y, y') under the spec; evidence first, hypothesis second."""
-    if spec.kind == "exact_match":
-        return gain_exact_match(y, y_prime, spec)
-    if spec.kind == "answer_match":
-        return gain_answer_match(y, y_prime)
-    if spec.kind == "rouge_n_kernel":
-        a = ngram_counts(candidate_tokens(y, spec), spec.n)
-        b = ngram_counts(candidate_tokens(y_prime, spec), spec.n)
-        return rouge_kernel(a, b)
-    if spec.kind == "sentence_bleu":
-        return gain_sentence_bleu(y, y_prime, spec)
-    raise MbrError(f"gain kind {spec.kind!r} has no pairwise scalar form")
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +212,11 @@ def _row_blocks(n_rows: int, jobs: int) -> list[slice]:
 def gain_matrix(inst: Instance, spec: GainSpec, jobs: int = 1) -> np.ndarray:
     """Pairwise gain table: entry (i, j) = G(evidence_i, hypothesis_j).
 
-    Tokenization and n-gram counting happen once per candidate, never per
-    pair. For ``rouge_n_kernel`` with ``jobs`` > 1 the evidence rows are
+    ``exact_match`` is 1.0 iff the normalized token sequences are equal,
+    ``answer_match`` iff the extracted answers agree after trimming
+    whitespace; both compare interned keys. Tokenization and n-gram
+    counting happen once per candidate, never per pair. For
+    ``rouge_n_kernel`` with ``jobs`` > 1 the evidence rows are
     partitioned across a thread pool; every cell's arithmetic is identical
     to the sequential evaluation, so the result does not depend on the
     partitioning. Other gains ignore ``jobs``.
@@ -265,28 +224,28 @@ def gain_matrix(inst: Instance, spec: GainSpec, jobs: int = 1) -> np.ndarray:
     """
     hyps = inst.hypotheses if inst.hypotheses is not None else inst.evidence
     if spec.kind == "external":
+        if inst.external_gain is None:
+            raise MatrixShapeMismatchError(
+                "gain kind 'external' requires the instance to carry an external_gain matrix"
+            )
         return np.asarray(inst.external_gain, dtype=np.float64)
 
     if spec.kind == "answer_match":
-        ev_ans = [_stripped_answer(c, f"evidence[{i}]") for i, c in enumerate(inst.evidence)]
-        hyp_ans = [_stripped_answer(c, f"hypotheses[{j}]") for j, c in enumerate(hyps)]
-        ids: dict[str, int] = {}
-        ev_ids = np.array([ids.setdefault(a, len(ids)) for a in ev_ans])
-        hyp_ids = np.array([ids.setdefault(a, len(ids)) for a in hyp_ans])
-        return np.equal.outer(ev_ids, hyp_ids).astype(np.float64)
+        ev_keys = [_stripped_answer(c, f"evidence[{i}]") for i, c in enumerate(inst.evidence)]
+        hyp_keys = [_stripped_answer(c, f"hypotheses[{j}]") for j, c in enumerate(hyps)]
+    else:
+        ev_keys = [candidate_tokens(c, spec) for c in inst.evidence]
+        hyp_keys = [candidate_tokens(c, spec) for c in hyps]
 
-    ev_tokens = [candidate_tokens(c, spec) for c in inst.evidence]
-    hyp_tokens = [candidate_tokens(c, spec) for c in hyps]
-
-    if spec.kind == "exact_match":
-        ids = {}
-        ev_ids = np.array([ids.setdefault(t, len(ids)) for t in ev_tokens])
-        hyp_ids = np.array([ids.setdefault(t, len(ids)) for t in hyp_tokens])
+    if spec.kind in ("exact_match", "answer_match"):
+        ids: dict = {}
+        ev_ids = np.array([ids.setdefault(k, len(ids)) for k in ev_keys])
+        hyp_ids = np.array([ids.setdefault(k, len(ids)) for k in hyp_keys])
         return np.equal.outer(ev_ids, hyp_ids).astype(np.float64)
 
     if spec.kind == "rouge_n_kernel":
-        ev_counts = [ngram_counts(t, spec.n) for t in ev_tokens]
-        hyp_counts = [ngram_counts(t, spec.n) for t in hyp_tokens]
+        ev_counts = [ngram_counts(t, spec.n) for t in ev_keys]
+        hyp_counts = [ngram_counts(t, spec.n) for t in hyp_keys]
         vocab: dict = {}
         for counts in ev_counts + hyp_counts:
             for gram in counts.counts:
@@ -302,8 +261,8 @@ def gain_matrix(inst: Instance, spec: GainSpec, jobs: int = 1) -> np.ndarray:
 
     if spec.kind == "sentence_bleu":
         order = spec.max_order
-        ev_pre = [(len(t), _order_counters(t, order)) for t in ev_tokens]
-        hyp_pre = [(len(t), _order_counters(t, order)) for t in hyp_tokens]
+        ev_pre = [(len(t), _order_counters(t, order)) for t in ev_keys]
+        hyp_pre = [(len(t), _order_counters(t, order)) for t in hyp_keys]
 
         matrix = np.empty((len(ev_pre), len(hyp_pre)), dtype=np.float64)
         for i, (ref_len, ref_counters) in enumerate(ev_pre):
@@ -314,3 +273,16 @@ def gain_matrix(inst: Instance, spec: GainSpec, jobs: int = 1) -> np.ndarray:
         return matrix
 
     raise MbrError(f"unsupported gain kind {spec.kind!r}")
+
+
+def pair_gain(y: Candidate, y_prime: Candidate, spec: GainSpec) -> float:
+    """Gain G(y, y') of one evidence candidate and one hypothesis.
+
+    The 1x1 case of :func:`gain_matrix`, which holds the only
+    implementation of each gain. Sentence BLEU scores ``y_prime`` against
+    ``y`` as its single reference, so it is not symmetric. ``external``
+    gains exist only as a precomputed matrix and are rejected.
+    """
+    if spec.kind == "external":
+        raise MbrError(f"gain kind {spec.kind!r} has no pairwise scalar form")
+    return float(gain_matrix(Instance(id="", evidence=(y,), hypotheses=(y_prime,)), spec)[0, 0])

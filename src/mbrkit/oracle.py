@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, NonFiniteValueError, SpaceTooLargeError
-from .metrics import pair_gain
+from .metrics import gain_matrix
 from .types import Candidate, GainSpec, Instance, WeightSpec
 from .weighting import corrected_score
 
@@ -120,6 +120,10 @@ class ToyDistribution:
         return np.cumsum(self._probs)
 
     @cached_property
+    def _support(self) -> tuple[Candidate, ...]:
+        return tuple(Candidate(text=s, tokens=tuple(s)) for s in self._space)
+
+    @cached_property
     def _index(self) -> dict[str, int]:
         return {s: i for i, s in enumerate(self._space)}
 
@@ -169,16 +173,17 @@ class ToyDistribution:
     def expected_gain(self, hypothesis: str | Candidate, gain: GainSpec) -> float:
         """Exact expected gain of a hypothesis under this distribution.
 
-        A plain probability-weighted sum of pairwise gains over the whole
-        support, accumulated in enumeration order.
+        A plain probability-weighted sum of the hypothesis's gain column
+        over the whole support, accumulated in enumeration order.
         """
         if isinstance(hypothesis, Candidate):
             hyp = hypothesis
         else:
             hyp = Candidate(text=hypothesis, tokens=tuple(hypothesis))
+        inst = Instance(id="", evidence=self._support, hypotheses=(hyp,))
         total = 0.0
-        for seq, p in zip(self._space, self._probs):
-            total += float(p) * pair_gain(Candidate(text=seq, tokens=tuple(seq)), hyp, gain)
+        for p, g in zip(self._probs, gain_matrix(inst, gain)[:, 0]):
+            total += float(p) * float(g)
         return total
 
     def corrected(self, weight: WeightSpec) -> "ToyDistribution":

@@ -1,8 +1,10 @@
 """Built-in invariant suite behind the `selfcheck` subcommand.
 
 Small, fast, seeded spot checks of the properties the engine leans on:
-kernel identities, scalar/matrix agreement, voting equivalences, weight
-normalization, sampler fidelity, and IO round-tripping. These duplicate
+kernel identities against an independent Counter form, gain-matrix cells
+that do not depend on the batch around them (each equals its own 1x1
+matrix), voting equivalences, weight normalization, sampler fidelity,
+and IO round-tripping. These duplicate
 a slice of the test suite on purpose so a deployed copy can vouch for
 itself without a test runner installed.
 """

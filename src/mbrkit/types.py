@@ -147,6 +147,37 @@ def _check_finite_scores(cands: tuple[Candidate, ...], side: str) -> None:
             raise NonFiniteValueError(f"{side}[{i}] has non-finite score {c.score!r}")
 
 
+def evidence_scores(evidence: tuple[Candidate, ...], kind: str) -> list[float]:
+    """Every evidence score, for score-based weighting ``kind``; raises
+    MissingScoreError at the first candidate without one."""
+    for i, c in enumerate(evidence):
+        if c.score is None:
+            raise MissingScoreError(
+                f"weighting kind {kind!r} requires a score on every evidence "
+                f"candidate; evidence[{i}] has none"
+            )
+    return [c.score for c in evidence]
+
+
+def evidence_model_ids(
+    evidence: tuple[Candidate, ...], mixture_weights: dict[str, float] | None
+) -> list[str]:
+    """Every evidence model id, for mixture weighting; raises
+    MissingModelIdError at the first candidate without one or, when
+    ``mixture_weights`` is given, with one it does not name."""
+    for i, c in enumerate(evidence):
+        if c.model_id is None:
+            raise MissingModelIdError(
+                f"mixture weighting requires a model_id on every evidence candidate; "
+                f"evidence[{i}] has none"
+            )
+        if mixture_weights is not None and c.model_id not in mixture_weights:
+            raise MissingModelIdError(
+                f"evidence[{i}] model_id {c.model_id!r} is not in the mixture weights"
+            )
+    return [c.model_id for c in evidence]
+
+
 def _coerce_candidate(c: Candidate) -> Candidate:
     if c.tokens is not None and not isinstance(c.tokens, tuple):
         return replace(c, tokens=tuple(c.tokens))
@@ -223,22 +254,8 @@ def validate_instance(
                 external = tuple(tuple(row[j] for j in keep) for row in external)
 
     if weight.kind in SCORE_WEIGHT_KINDS:
-        for i, c in enumerate(evidence):
-            if c.score is None:
-                raise MissingScoreError(
-                    f"weighting kind {weight.kind!r} requires a score on every evidence "
-                    f"candidate; evidence[{i}] has none"
-                )
+        evidence_scores(evidence, weight.kind)
     if weight.kind == "mixture":
-        for i, c in enumerate(evidence):
-            if c.model_id is None:
-                raise MissingModelIdError(
-                    f"mixture weighting requires a model_id on every evidence candidate; "
-                    f"evidence[{i}] has none"
-                )
-            if weight.mixture_weights is not None and c.model_id not in weight.mixture_weights:
-                raise MissingModelIdError(
-                    f"evidence[{i}] model_id {c.model_id!r} is not in the mixture weights"
-                )
+        evidence_model_ids(evidence, weight.mixture_weights)
 
     return Instance(id=inst.id, evidence=evidence, hypotheses=hypotheses, external_gain=external)

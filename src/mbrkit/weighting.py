@@ -16,14 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateWeightsError,
-    MissingModelIdError,
-    MissingScoreError,
-    ZeroLengthCandidateError,
-)
+from .errors import DegenerateWeightsError, ZeroLengthCandidateError
 from .metrics import candidate_tokens
-from .types import GainSpec, Instance, WeightSpec
+from .types import GainSpec, Instance, WeightSpec, evidence_model_ids, evidence_scores
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,18 +54,6 @@ def corrected_score(score: float, length: int, spec: WeightSpec) -> float:
     raise ValueError(f"corrected_score is not defined for weighting kind {spec.kind!r}")
 
 
-def _scores(inst: Instance, kind: str) -> np.ndarray:
-    out = np.empty(len(inst.evidence))
-    for i, c in enumerate(inst.evidence):
-        if c.score is None:
-            raise MissingScoreError(
-                f"weighting kind {kind!r} requires a score on every evidence candidate; "
-                f"evidence[{i}] has none"
-            )
-        out[i] = c.score
-    return out
-
-
 def _normalize_log(log_w: np.ndarray) -> np.ndarray:
     peak = np.max(log_w)
     if not np.isfinite(peak):
@@ -86,24 +69,12 @@ def _ess(weights: np.ndarray) -> float:
 
 
 def _mixture_weights(inst: Instance, spec: WeightSpec) -> tuple[np.ndarray, np.ndarray]:
-    model_ids = []
-    for i, c in enumerate(inst.evidence):
-        if c.model_id is None:
-            raise MissingModelIdError(
-                f"mixture weighting requires a model_id on every evidence candidate; "
-                f"evidence[{i}] has none"
-            )
-        model_ids.append(c.model_id)
+    model_ids = evidence_model_ids(inst.evidence, spec.mixture_weights)
     if spec.mixture_weights is None:
         # Unspecified mixtures are uniform over the distinct models present.
         pi = {m: 1.0 for m in dict.fromkeys(model_ids)}
     else:
         pi = dict(spec.mixture_weights)
-        for i, m in enumerate(model_ids):
-            if m not in pi:
-                raise MissingModelIdError(
-                    f"evidence[{i}] model_id {m!r} is not in the mixture weights"
-                )
     pi_total = sum(pi.values())
     counts: dict[str, int] = {}
     for m in model_ids:
@@ -140,7 +111,7 @@ def compute_weights(inst: Instance, spec: WeightSpec, gain_spec: GainSpec) -> We
     elif spec.kind == "mixture":
         weights, log_unnorm = _mixture_weights(inst, spec)
     else:
-        scores = _scores(inst, spec.kind)
+        scores = np.array(evidence_scores(inst.evidence, spec.kind), dtype=np.float64)
         if spec.kind == "temperature":
             log_unnorm = scores * (1.0 / spec.tau - 1.0)
         else:

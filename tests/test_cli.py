@@ -3,11 +3,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mbrkit
 from mbrkit import Candidate, Instance, ParseError, SchemaError
 from mbrkit.cli import parse_mixture, run
 from mbrkit.io import (
@@ -268,6 +272,44 @@ class TestDecodeCommand:
         assert code == 1
         assert [json.loads(line)["id"] for line in out.splitlines()] == ["ok"]
         assert len(err) == 1 and "line 2" in err[0]
+
+    def run_stdin(self, argv, data):
+        """The CLI in its own process, reading the bytes ``data`` on stdin."""
+        env = {**os.environ, "PYTHONPATH": str(Path(mbrkit.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "mbrkit", *argv], input=data,
+                              capture_output=True, env=env, timeout=120)
+        return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode().splitlines()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_non_utf8_byte_is_a_line_error(self, tmp_path, capsys, jobs):
+        data = (b'{"id":"a","evidence":[{"text":"a"}]}\n'
+                b'{"id":"b","evidence":[{"text":"\xff"}]}\n'
+                b'{"id":"c","evidence":[{"text":"c"}]}\n')
+        inp = tmp_path / "in.jsonl"
+        inp.write_bytes(data)
+        runs = [self.run_captured(capsys, ["decode", "--jobs", jobs, "--input", str(inp)]),
+                self.run_stdin(["decode", "--jobs", jobs], data)]
+        for code, out, err in runs:
+            assert code == 1
+            assert [json.loads(line)["id"] for line in out.splitlines()] == ["a", "c"]
+            assert err == ["line 2: not valid UTF-8"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_escaped_lone_surrogate_is_a_line_error(self, tmp_path, capsys, jobs):
+        data = (b'{"id":"a","evidence":[{"text":"a"}]}\n'
+                b'{"id":"b","evidence":[{"text":"\\udcff"}]}\n'
+                b'{"id":"c","evidence":[{"text":"c"}]}\n')
+        inp = tmp_path / "in.jsonl"
+        inp.write_bytes(data)
+        out_path = tmp_path / "out.jsonl"
+        code, _, err = self.run_captured(
+            capsys, ["decode", "--jobs", jobs, "--input", str(inp), "--output", str(out_path)])
+        runs = [(code, out_path.read_text(encoding="utf-8"), err),
+                self.run_stdin(["decode", "--jobs", jobs], data)]
+        for code, out, err in runs:
+            assert code == 1
+            assert [json.loads(line)["id"] for line in out.splitlines()] == ["a", "c"]
+            assert len(err) == 1 and err[0].startswith("line 2: UnicodeEncodeError")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_unexpected_exception_is_a_line_error(self, tmp_path, capsys, monkeypatch, jobs):

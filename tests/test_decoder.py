@@ -1,5 +1,7 @@
 """Tests for expected-gain reduction, selection, and the decode presets."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,15 @@ class TestDecode:
             assert a.selected_index == b.selected_index
             assert a.gain_estimates == b.gain_estimates
 
+    def test_unknown_tie_break_rejected_without_a_tie(self):
+        inst = Instance(
+            id="t",
+            evidence=(Candidate(text="a"), Candidate(text="a"), Candidate(text="b")),
+            hypotheses=(Candidate(text="a"), Candidate(text="b")),
+        )
+        with pytest.raises(MbrError, match="unknown tie_break 'bogus'"):
+            decode(inst, tie_break="bogus")
+
     def test_small_external_gains_do_not_tie(self):
         inst = Instance(
             id="t",
@@ -277,14 +288,20 @@ class TestRangeVote:
 
     def test_agrees_with_uniform_decode(self):
         rng = np.random.default_rng(35)
-        for _ in range(100):
-            inst = random_instance(
-                rng,
-                n_evidence=int(rng.integers(1, 8)),
-                n_hypotheses=int(rng.integers(1, 6)),
-            )
-            assert range_vote(inst, ROUGE1).selected_index == \
-                decode(inst, ROUGE1, UNIFORM).selected_index
+        for spec in (ROUGE1, GainSpec(kind="sentence_bleu"), GainSpec(kind="answer_match")):
+            for _ in range(100):
+                inst = random_instance(
+                    rng,
+                    n_evidence=int(rng.integers(1, 8)),
+                    n_hypotheses=int(rng.integers(1, 6)),
+                )
+                inst = Instance(
+                    id=inst.id,
+                    evidence=tuple(replace(c, answer=c.tokens[0]) for c in inst.evidence),
+                    hypotheses=tuple(replace(c, answer=c.tokens[0]) for c in inst.hypotheses),
+                )
+                assert range_vote(inst, spec).selected_index == \
+                    decode(inst, spec, UNIFORM).selected_index
 
     def test_external_path(self):
         inst = Instance(

@@ -10,6 +10,8 @@ from mbrkit import (
     Candidate,
     GainSpec,
     Instance,
+    MatrixShapeMismatchError,
+    MbrError,
     MissingAnswerError,
     OrderMismatchError,
     WeightSpec,
@@ -320,6 +322,12 @@ class TestGainMatrix:
         sequential = gain_matrix(inst, ROUGE1, jobs=1)
         for jobs in (2, 3, 8):
             assert np.array_equal(gain_matrix(inst, ROUGE1, jobs=jobs), sequential)
+
+    def test_external_needs_the_instance_matrix(self):
+        with pytest.raises(MbrError, match="no pairwise scalar form"):
+            pair_gain(cand("a"), cand("b"), GainSpec(kind="external"))
+        with pytest.raises(MatrixShapeMismatchError):
+            gain_matrix(Instance(id="t", evidence=(cand("a"),)), GainSpec(kind="external"))
 
     def test_tokens_absent_falls_back_to_text(self):
         inst = validate_instance(
