@@ -239,18 +239,19 @@ def _matrix_record(inst: Instance, config: RunConfig) -> dict:
     }
 
 
-def _process_line(numbered: tuple[int, str], config: RunConfig, record_fn) -> tuple[bool, str]:
-    """One input line as (True, output line) or (False, error text).
+def _process_line(numbered: tuple[int, str], config: RunConfig,
+                  record_fn) -> tuple[bool, bytes | str]:
+    """One input line as (True, UTF-8 output line) or (False, error text).
 
     The only place a per-line failure becomes an error: any exception is
     caught here, in the worker that raised it, so one bad line never stops
-    the batch and every ``--jobs`` count reports it the same way.
+    the batch and every ``--jobs`` count reports it the same way. Results
+    are UTF-8 whatever the locale; an escaped lone surrogate fails its line.
     """
     line_no, raw = numbered
     try:
-        text = dumps(record_fn(parse_instance_line(raw, line_no), config))
-        text.encode("utf-8")  # a lone surrogate escaped in the JSON cannot be written
-        return True, text
+        text = dumps(record_fn(parse_instance_line(raw, line_no), config)) + "\n"
+        return True, text.encode("utf-8")
     except (ParseError, SchemaError) as exc:
         return False, str(exc)
     except MbrError as exc:
@@ -270,9 +271,13 @@ def _run_batch(config: RunConfig, record_fn) -> int:
             sys.stdin.fileno() if config.input is None else config.input,
             encoding="utf-8", errors="surrogateescape", closefd=config.input is not None,
         ))
-        sink = sys.stdout
-        if config.output is not None:
-            sink = stack.enter_context(open(config.output, "w", encoding="utf-8", newline="\n"))
+        # A terminal still sees each result as soon as it is written.
+        flush_lines = config.output is None and sys.stdout.line_buffering
+        if config.output is None:
+            sys.stdout.flush()
+            sink = sys.stdout.buffer
+        else:
+            sink = stack.enter_context(open(config.output, "wb"))
         mapper = map
         if config.jobs > 1:
             methods = mp.get_all_start_methods()
@@ -281,7 +286,9 @@ def _run_batch(config: RunConfig, record_fn) -> int:
             mapper = stack.enter_context(pool).map
         for ok, text in mapper(_process_line, iter_lines(source), repeat(config), repeat(record_fn)):
             if ok:
-                sink.write(text + "\n")
+                sink.write(text)
+                if flush_lines:
+                    sink.flush()
             else:
                 failed += 1
                 print(text, file=sys.stderr)

@@ -134,12 +134,7 @@ def read_instances(stream: IO[str]) -> list[Instance]:
     Blank lines are skipped. Batch tools that want to keep going past bad
     lines should call :func:`parse_instance_line` per line instead.
     """
-    out = []
-    for line_no, raw in enumerate(stream, start=1):
-        if not raw.strip():
-            continue
-        out.append(parse_instance_line(raw, line_no))
-    return out
+    return [parse_instance_line(raw, line_no) for line_no, raw in iter_lines(stream)]
 
 
 def _candidate_record(c: Candidate) -> dict:

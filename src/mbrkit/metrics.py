@@ -13,7 +13,8 @@ for one pair); by the L1 identity this equals
 computes for all pairs at once. Sentence BLEU follows the sacrebleu
 conventions: clipped precisions, effective order, exponential smoothing
 (the k-th zero-match order contributes 1 / (2^k * total_n)), and the
-standard brevity penalty; an empty hypothesis scores 0.
+standard brevity penalty; an empty hypothesis scores 0. Its clipped
+matches of every order are the same min-sum, finished cell by cell.
 """
 
 from __future__ import annotations
@@ -104,26 +105,12 @@ def _stripped_answer(c: Candidate, context: str) -> str:
     return c.answer.strip()
 
 
-def _order_counters(tokens: tuple[str, ...], max_order: int) -> list[Counter]:
-    return [
-        Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
-        for n in range(1, max_order + 1)
-    ]
+def _order_counters(tokens: tuple[str, ...], max_order: int) -> list[dict]:
+    return [ngram_counts(tokens, n).counts for n in range(1, max_order + 1)]
 
 
-def _clipped_matches(hyp_counter: Counter, ref_counter: Counter) -> int:
-    if len(hyp_counter) > len(ref_counter):
-        hyp_counter, ref_counter = ref_counter, hyp_counter
-    return sum(min(count, ref_counter.get(gram, 0)) for gram, count in hyp_counter.items())
-
-
-def _sentence_bleu_from_counts(
-    ref_len: int,
-    ref_counters: list[Counter],
-    hyp_len: int,
-    hyp_counters: list[Counter],
-    max_order: int,
-) -> float:
+def _sentence_bleu(ref_len: int, hyp_len: int, correct, max_order: int) -> float:
+    """Sentence BLEU of one pair from its lengths and clipped matches per order."""
     if hyp_len == 0:
         return 0.0
     log_prec_sum = 0.0
@@ -134,12 +121,11 @@ def _sentence_bleu_from_counts(
         if total <= 0:
             break
         effective_order = n
-        correct = _clipped_matches(hyp_counters[n - 1], ref_counters[n - 1])
-        if correct == 0:
+        if correct[n - 1] == 0:
             smooth *= 2.0
             precision = 1.0 / (smooth * total)
         else:
-            precision = correct / total
+            precision = correct[n - 1] / total
         log_prec_sum += math.log(precision)
     score = math.exp(log_prec_sum / effective_order)
     if hyp_len < ref_len:
@@ -170,43 +156,39 @@ def _sparse_counts(count_maps: list[dict], vocab: dict) -> sp.csr_matrix:
 def _pairwise_min_sum(ev: sp.csr_matrix, hyp: sp.csr_matrix) -> np.ndarray:
     """sum_g min(ev[i, g], hyp[j, g]) for all pairs, as exact integers.
 
-    Decomposes each count c into indicator layers c >= t, so the pairwise
-    minimum becomes a sum of boolean matrix products. All arithmetic is
-    integer-valued in float64, hence exact and independent of evaluation
-    order or row partitioning.
+    Layers sit at the distinct count values v_1 < v_2 < ... (v_0 = 0):
+    min(a, b) = sum_k (v_k - v_{k-1}) [a >= v_k] [b >= v_k], one indicator
+    matrix product per layer, with the step on the evidence side. All
+    arithmetic is integer-valued in float64, hence exact and independent
+    of evaluation order or row partitioning.
     """
     out = np.zeros((ev.shape[0], hyp.shape[0]), dtype=np.float64)
-    max_ev = int(ev.data.max()) if ev.nnz else 0
-    max_hyp = int(hyp.data.max()) if hyp.nnz else 0
-    for t in range(1, min(max_ev, max_hyp) + 1):
-        ev_t = ev.copy()
-        ev_t.data = (ev.data >= t).astype(np.float64)
-        hyp_t = hyp.copy()
-        hyp_t.data = (hyp.data >= t).astype(np.float64)
-        out += (ev_t @ hyp_t.T).toarray()
+    levels = np.unique(np.concatenate([ev.data, hyp.data]))
+    previous = 0.0
+    for v in levels[levels <= min(ev.data.max(initial=0), hyp.data.max(initial=0))]:
+        ev_v = sp.csr_matrix((np.where(ev.data >= v, v - previous, 0.0), ev.indices, ev.indptr),
+                             shape=ev.shape)
+        hyp_v = sp.csr_matrix(((hyp.data >= v).astype(np.float64), hyp.indices, hyp.indptr),
+                              shape=hyp.shape)
+        out += (ev_v @ hyp_v.T).toarray()
+        previous = v
     return out
 
 
-def _rouge_matrix_block(
-    ev_counts: list[NgramCounts],
-    hyp_counts: list[NgramCounts],
-    vocab: dict,
-) -> np.ndarray:
-    ev_sparse = _sparse_counts([c.counts for c in ev_counts], vocab)
-    hyp_sparse = _sparse_counts([c.counts for c in hyp_counts], vocab)
-    inter = _pairwise_min_sum(ev_sparse, hyp_sparse)
-    ev_tot = np.array([c.total for c in ev_counts], dtype=np.float64)
-    hyp_tot = np.array([c.total for c in hyp_counts], dtype=np.float64)
-    denom = ev_tot[:, None] + hyp_tot[None, :]
-    l1 = denom - 2.0 * inter
-    safe = np.where(denom > 0, denom, 1.0)
-    return np.where(denom > 0, 1.0 - l1 / safe, 1.0)
-
-
-def _row_blocks(n_rows: int, jobs: int) -> list[slice]:
-    jobs = max(1, min(jobs, n_rows))
-    bounds = np.linspace(0, n_rows, jobs + 1).astype(int)
-    return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+def _clipped_matches(ev_maps: list[dict], hyp_maps: list[dict], jobs: int) -> np.ndarray:
+    """sum_g min(ev_maps[i][g], hyp_maps[j][g]) for all pairs of count maps;
+    ``jobs`` > 1 partitions the evidence rows across a thread pool."""
+    vocab: dict = {}
+    for counts in ev_maps + hyp_maps:
+        for gram in counts:
+            vocab.setdefault(gram, len(vocab))
+    ev = _sparse_counts(ev_maps, vocab)
+    hyp = _sparse_counts(hyp_maps, vocab)
+    blocks = [b for b in np.array_split(np.arange(len(ev_maps)), max(jobs, 1)) if b.size]
+    if len(blocks) < 2:
+        return _pairwise_min_sum(ev, hyp)
+    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+        return np.vstack(list(pool.map(lambda rows: _pairwise_min_sum(ev[rows], hyp), blocks)))
 
 
 def gain_matrix(inst: Instance, spec: GainSpec, jobs: int = 1) -> np.ndarray:
@@ -215,11 +197,12 @@ def gain_matrix(inst: Instance, spec: GainSpec, jobs: int = 1) -> np.ndarray:
     ``exact_match`` is 1.0 iff the normalized token sequences are equal,
     ``answer_match`` iff the extracted answers agree after trimming
     whitespace; both compare interned keys. Tokenization and n-gram
-    counting happen once per candidate, never per pair. For
-    ``rouge_n_kernel`` with ``jobs`` > 1 the evidence rows are
-    partitioned across a thread pool; every cell's arithmetic is identical
-    to the sequential evaluation, so the result does not depend on the
-    partitioning. Other gains ignore ``jobs``.
+    counting happen once per candidate, never per pair. For the n-gram
+    gains, ``rouge_n_kernel`` and ``sentence_bleu``, ``jobs`` > 1
+    partitions the evidence rows of the clipped-match products across a
+    thread pool; every cell's arithmetic is identical to the sequential
+    evaluation, so the result does not depend on the partitioning. The
+    match and external gains ignore ``jobs``.
     ``kind='external'`` returns the instance's precomputed matrix as-is.
     """
     hyps = inst.hypotheses if inst.hypotheses is not None else inst.evidence
@@ -246,30 +229,29 @@ def gain_matrix(inst: Instance, spec: GainSpec, jobs: int = 1) -> np.ndarray:
     if spec.kind == "rouge_n_kernel":
         ev_counts = [ngram_counts(t, spec.n) for t in ev_keys]
         hyp_counts = [ngram_counts(t, spec.n) for t in hyp_keys]
-        vocab: dict = {}
-        for counts in ev_counts + hyp_counts:
-            for gram in counts.counts:
-                vocab.setdefault(gram, len(vocab))
-        blocks = _row_blocks(len(ev_counts), jobs)
-        if len(blocks) == 1:
-            return _rouge_matrix_block(ev_counts, hyp_counts, vocab)
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            parts = list(
-                pool.map(lambda s: _rouge_matrix_block(ev_counts[s], hyp_counts, vocab), blocks)
-            )
-        return np.vstack(parts)
+        inter = _clipped_matches(
+            [c.counts for c in ev_counts], [c.counts for c in hyp_counts], jobs)
+        ev_tot = np.array([c.total for c in ev_counts], dtype=np.float64)
+        hyp_tot = np.array([c.total for c in hyp_counts], dtype=np.float64)
+        denom = ev_tot[:, None] + hyp_tot[None, :]
+        l1 = denom - 2.0 * inter
+        safe = np.where(denom > 0, denom, 1.0)
+        return np.where(denom > 0, 1.0 - l1 / safe, 1.0)
 
     if spec.kind == "sentence_bleu":
         order = spec.max_order
-        ev_pre = [(len(t), _order_counters(t, order)) for t in ev_keys]
-        hyp_pre = [(len(t), _order_counters(t, order)) for t in hyp_keys]
-
-        matrix = np.empty((len(ev_pre), len(hyp_pre)), dtype=np.float64)
-        for i, (ref_len, ref_counters) in enumerate(ev_pre):
-            for j, (hyp_len, hyp_counters) in enumerate(hyp_pre):
-                matrix[i, j] = _sentence_bleu_from_counts(
-                    ref_len, ref_counters, hyp_len, hyp_counters, order
-                )
+        ev_orders = [_order_counters(t, order) for t in ev_keys]
+        hyp_orders = [_order_counters(t, order) for t in hyp_keys]
+        correct = [
+            _clipped_matches([c[n] for c in ev_orders], [c[n] for c in hyp_orders], jobs)
+            for n in range(order)
+        ]
+        hyp_lens = [len(t) for t in hyp_keys]
+        matrix = np.empty((len(ev_keys), len(hyp_keys)), dtype=np.float64)
+        for i, ref in enumerate(ev_keys):
+            rows = zip(*(c[i].tolist() for c in correct))
+            matrix[i] = [_sentence_bleu(len(ref), hyp_len, row, order)
+                         for hyp_len, row in zip(hyp_lens, rows)]
         return matrix
 
     raise MbrError(f"unsupported gain kind {spec.kind!r}")

@@ -170,21 +170,25 @@ class ToyDistribution:
         idx = np.minimum(idx, len(self._space) - 1)
         return [self.candidate(self._space[int(i)], model_id) for i in idx]
 
+    def _expected_gains(self, hypotheses: Sequence[str | Candidate],
+                        gain: GainSpec) -> list[float]:
+        """Exact expected gains from one gain matrix over the whole support,
+        each column's weighted sum accumulated in enumeration order."""
+        hyps = tuple(h if isinstance(h, Candidate) else Candidate(text=h, tokens=tuple(h))
+                     for h in hypotheses)
+        matrix = gain_matrix(Instance(id="", evidence=self._support, hypotheses=hyps), gain)
+        totals = np.zeros(len(hyps))
+        for p, row in zip(self._probs.tolist(), matrix):
+            totals += p * row
+        return totals.tolist()
+
     def expected_gain(self, hypothesis: str | Candidate, gain: GainSpec) -> float:
         """Exact expected gain of a hypothesis under this distribution.
 
         A plain probability-weighted sum of the hypothesis's gain column
         over the whole support, accumulated in enumeration order.
         """
-        if isinstance(hypothesis, Candidate):
-            hyp = hypothesis
-        else:
-            hyp = Candidate(text=hypothesis, tokens=tuple(hypothesis))
-        inst = Instance(id="", evidence=self._support, hypotheses=(hyp,))
-        total = 0.0
-        for p, g in zip(self._probs, gain_matrix(inst, gain)[:, 0]):
-            total += float(p) * float(g)
-        return total
+        return self._expected_gains((hypothesis,), gain)[0]
 
     def corrected(self, weight: WeightSpec) -> "ToyDistribution":
         """The reweighted target distribution as a new ToyDistribution.
@@ -219,8 +223,7 @@ class ToyDistribution:
             raise ConfigError("exact_mbr needs at least one hypothesis")
         best_seq = None
         best_gain = -math.inf
-        for seq in hypotheses:
-            g = self.expected_gain(seq, gain)
+        for seq, g in zip(hypotheses, self._expected_gains(hypotheses, gain)):
             if g > best_gain or (g == best_gain and (best_seq is None or seq < best_seq)):
                 best_gain = g
                 best_seq = seq

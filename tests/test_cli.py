@@ -273,9 +273,10 @@ class TestDecodeCommand:
         assert [json.loads(line)["id"] for line in out.splitlines()] == ["ok"]
         assert len(err) == 1 and "line 2" in err[0]
 
-    def run_stdin(self, argv, data):
-        """The CLI in its own process, reading the bytes ``data`` on stdin."""
-        env = {**os.environ, "PYTHONPATH": str(Path(mbrkit.__file__).resolve().parents[1])}
+    def run_stdin(self, argv, data, **env):
+        """The CLI in its own process, reading the bytes ``data`` on stdin,
+        with the environment variables ``env`` set."""
+        env = {**os.environ, "PYTHONPATH": str(Path(mbrkit.__file__).resolve().parents[1]), **env}
         proc = subprocess.run([sys.executable, "-m", "mbrkit", *argv], input=data,
                               capture_output=True, env=env, timeout=120)
         return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode().splitlines()
@@ -310,6 +311,17 @@ class TestDecodeCommand:
             assert code == 1
             assert [json.loads(line)["id"] for line in out.splitlines()] == ["a", "c"]
             assert len(err) == 1 and err[0].startswith("line 2: UnicodeEncodeError")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_stdout_is_utf8_whatever_the_locale(self, jobs):
+        data = ('{"id":"a","evidence":[{"text":"a"}]}\n'
+                '{"id":"b","evidence":[{"text":"中"}]}\n'
+                '{"id":"c","evidence":[{"text":"c"}]}\n').encode("utf-8")
+        code, out, err = self.run_stdin(["decode", "--jobs", jobs], data,
+                                        PYTHONIOENCODING="latin-1")
+        assert (code, err) == (0, [])
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["selected_text"] for r in records] == ["a", "中", "c"]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_unexpected_exception_is_a_line_error(self, tmp_path, capsys, monkeypatch, jobs):

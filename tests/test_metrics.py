@@ -165,6 +165,18 @@ class TestRougeKernel:
             got = rouge_kernel(ngram_counts(a, n), ngram_counts(b, n))
             assert abs(got - kernel_by_overlap(a, b, n)) <= 1e-12
             assert 0.0 <= got <= 1.0
+        # Gapped and large repeat counts, through the batched matrix too.
+        evidence = [("x",) * k + ("y",) * (k % 4) for k in (1, 3, 7, 1000)]
+        hypotheses = [("x",) * k + ("y",) * (k % 4) for k in (2, 999, 1001)]
+        for n in (1, 2):
+            matrix = gain_matrix(Instance(id="t", evidence=tuple(map(token_cand, evidence)),
+                                          hypotheses=tuple(map(token_cand, hypotheses))),
+                                 GainSpec(kind="rouge_n_kernel", n=n))
+            for i, a in enumerate(evidence):
+                for j, b in enumerate(hypotheses):
+                    want = kernel_by_overlap(a, b, n)
+                    assert abs(rouge_kernel(ngram_counts(a, n), ngram_counts(b, n)) - want) <= 1e-12
+                    assert abs(matrix[i, j] - want) <= 1e-12
 
     def test_symmetry_and_self_maximality(self):
         rng = np.random.default_rng(5)
@@ -248,6 +260,14 @@ class TestSentenceBleu:
             want = reference_sentence_bleu(hyp, ref, order)
             assert got == pytest.approx(want, abs=1e-12)
             assert 0.0 <= got <= 1.0
+        # Gapped and large repeat counts.
+        gapped = [("x",) * k + ("y",) * (k % 4) for k in (1, 3, 7, 1000, 2, 999, 1001)]
+        for order in range(1, 5):
+            spec = GainSpec(kind="sentence_bleu", max_order=order)
+            for ref in gapped:
+                for hyp in gapped:
+                    got = pair_gain(token_cand(ref), token_cand(hyp), spec)
+                    assert got == pytest.approx(reference_sentence_bleu(hyp, ref, order), abs=1e-12)
 
     def test_self_gain_is_one(self):
         rng = np.random.default_rng(7)
@@ -318,10 +338,11 @@ class TestGainMatrix:
         rng = np.random.default_rng(9)
         evidence = tuple(token_cand(random_tokens(rng, vocab_size=6, max_len=20))
                          for _ in range(60))
-        inst = validate_instance(Instance(id="t", evidence=evidence), ROUGE1, WeightSpec())
-        sequential = gain_matrix(inst, ROUGE1, jobs=1)
-        for jobs in (2, 3, 8):
-            assert np.array_equal(gain_matrix(inst, ROUGE1, jobs=jobs), sequential)
+        for spec in (ROUGE1, GainSpec(kind="sentence_bleu")):
+            inst = validate_instance(Instance(id="t", evidence=evidence), spec, WeightSpec())
+            sequential = gain_matrix(inst, spec, jobs=1)
+            for jobs in (2, 3, 8):
+                assert np.array_equal(gain_matrix(inst, spec, jobs=jobs), sequential)
 
     def test_external_needs_the_instance_matrix(self):
         with pytest.raises(MbrError, match="no pairwise scalar form"):
