@@ -21,7 +21,7 @@ from itertools import repeat
 
 from .decoder import decode
 from .errors import ConfigError, MbrError, ParseError, SchemaError
-from .io import dumps, iter_lines, parse_instance_line, result_record, write_instances
+from .io import RawJson, dumps, iter_lines, parse_instance_line, result_record, write_instances
 from .metrics import gain_matrix
 from .oracle import build_fixture_instances
 from .selfcheck import run_selfcheck
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _decode_record(inst: Instance, config: RunConfig) -> dict:
+def _decode_record(inst: Instance, config: RunConfig, echo: RawJson) -> dict:
     result = decode(
         inst,
         config.gain,
@@ -223,10 +223,10 @@ def _decode_record(inst: Instance, config: RunConfig) -> dict:
         tie_break=config.tie_break,
         dedup_hypotheses=config.dedup_hypotheses,
     )
-    return result_record(inst.id, result, config_echo(config))
+    return result_record(inst.id, result, echo)
 
 
-def _matrix_record(inst: Instance, config: RunConfig) -> dict:
+def _matrix_record(inst: Instance, config: RunConfig, echo: RawJson) -> dict:
     try:
         checked = validate_instance(inst, config.gain, WeightSpec(), config.dedup_hypotheses)
         matrix = gain_matrix(checked, config.gain)
@@ -235,12 +235,12 @@ def _matrix_record(inst: Instance, config: RunConfig) -> dict:
     return {
         "id": inst.id,
         "gain_matrix": [[float(v) for v in row] for row in matrix],
-        "config_echo": _matrix_echo(config),
+        "config_echo": echo,
     }
 
 
 def _process_line(numbered: tuple[int, str], config: RunConfig,
-                  record_fn) -> tuple[bool, bytes | str]:
+                  record_fn, echo: RawJson) -> tuple[bool, bytes | str]:
     """One input line as (True, UTF-8 output line) or (False, error text).
 
     The only place a per-line failure becomes an error: any exception is
@@ -250,7 +250,7 @@ def _process_line(numbered: tuple[int, str], config: RunConfig,
     """
     line_no, raw = numbered
     try:
-        text = dumps(record_fn(parse_instance_line(raw, line_no), config)) + "\n"
+        text = dumps(record_fn(parse_instance_line(raw, line_no), config, echo)) + "\n"
         return True, text.encode("utf-8")
     except (ParseError, SchemaError) as exc:
         return False, str(exc)
@@ -260,9 +260,13 @@ def _process_line(numbered: tuple[int, str], config: RunConfig,
         return False, f"line {line_no}: {type(exc).__name__}: {exc}"
 
 
-def _run_batch(config: RunConfig, record_fn) -> int:
+def _run_batch(config: RunConfig, record_fn, echo: dict) -> int:
     """Stream the input through ``_process_line``, writing each outcome in
-    input order as it arrives; results go to the output, errors to stderr."""
+    input order as it arrives; results go to the output, errors to stderr.
+
+    ``echo`` is the same on every line, so it is serialized once here.
+    """
+    echo = RawJson(dumps(echo))
     failed = 0
     with ExitStack() as stack:
         # Bytes that are not UTF-8 decode to lone surrogates, which
@@ -284,7 +288,8 @@ def _run_batch(config: RunConfig, record_fn) -> int:
             ctx = mp.get_context("fork" if "fork" in methods else methods[0])
             pool = ProcessPoolExecutor(max_workers=config.jobs, mp_context=ctx)
             mapper = stack.enter_context(pool).map
-        for ok, text in mapper(_process_line, iter_lines(source), repeat(config), repeat(record_fn)):
+        for ok, text in mapper(_process_line, iter_lines(source), repeat(config),
+                               repeat(record_fn), repeat(echo)):
             if ok:
                 sink.write(text)
                 if flush_lines:
@@ -296,11 +301,13 @@ def _run_batch(config: RunConfig, record_fn) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    return _run_batch(config_from_args(args), _decode_record)
+    config = config_from_args(args)
+    return _run_batch(config, _decode_record, config_echo(config))
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
-    return _run_batch(config_from_args(args), _matrix_record)
+    config = config_from_args(args)
+    return _run_batch(config, _matrix_record, _matrix_echo(config))
 
 
 def cmd_fixtures(args: argparse.Namespace) -> int:
@@ -313,12 +320,11 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
     for gain_name, gain in GOLDEN_GAINS:
         for weight_name, weighting in GOLDEN_WEIGHTINGS:
             config = RunConfig(gain=gain, weighting=weighting)
-            echo = config_echo(config)
+            echo = RawJson(dumps(config_echo(config)))
             path = os.path.join(args.output, "golden", f"{gain_name}_{weight_name}.jsonl")
             with open(path, "w", encoding="utf-8", newline="\n") as stream:
                 for inst in instances:
-                    result = decode(inst, gain, weighting)
-                    stream.write(dumps(result_record(inst.id, result, echo)) + "\n")
+                    stream.write(dumps(_decode_record(inst, config, echo)) + "\n")
             written.append(path)
     for path in written:
         print(path)

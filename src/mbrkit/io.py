@@ -27,11 +27,17 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+class RawJson(str):
+    """JSON text that :func:`dumps` emits as it is: a value serialized
+    once and spliced into many records."""
+
+
 def dumps(value) -> str:
     """Compact JSON text with deterministic key order and float format.
 
     Dicts keep insertion order; floats go through :func:`format_float`;
-    everything else matches standard JSON.
+    a :class:`RawJson` is emitted unchanged; everything else matches
+    standard JSON.
     """
     if value is None:
         return "null"
@@ -42,6 +48,8 @@ def dumps(value) -> str:
     if isinstance(value, float):
         return format_float(value)
     if isinstance(value, str):
+        if type(value) is RawJson:
+            return value
         return json.dumps(value, ensure_ascii=False)
     if isinstance(value, dict):
         items = ",".join(f"{json.dumps(str(k), ensure_ascii=False)}:{dumps(v)}" for k, v in value.items())

@@ -3,6 +3,8 @@
 Every gain here maps a (evidence, hypothesis) candidate pair into [0, 1].
 :func:`gain_matrix` holds the only implementation of each gain, batched
 over all pairs of an instance; :func:`pair_gain` is its 1x1 case.
+Evidence samples repeat, since duplicates carry probability mass, so the
+matrix is built once per distinct candidate and gathered back per sample.
 The n-gram overlap kernel is defined in its signed-difference form,
 
     K(y, y') = 1 - |T(y) - T(y')|_1 / (|T(y)|_1 + |T(y')|_1)
@@ -58,6 +60,46 @@ def candidate_tokens(c: Candidate, spec: GainSpec) -> tuple[str, ...]:
     return tuple(tokenize(c.text, spec))
 
 
+def _distinct(cands, key) -> tuple[list[int], np.ndarray]:
+    """Index of the first candidate with each distinct ``key(c)``, in
+    order, and for every candidate the position of its key in that list."""
+    ids: dict = {}
+    firsts: list[int] = []
+    inverse: list[int] = []
+    for i, c in enumerate(cands):
+        j = ids.setdefault(key(c), len(ids))
+        if j == len(firsts):
+            firsts.append(i)
+        inverse.append(j)
+    return firsts, np.array(inverse, dtype=np.intp)
+
+
+def _raw_key(c: Candidate) -> tuple:
+    # An unvalidated candidate may carry its tokens as a list.
+    return c.text, c.tokens if c.tokens is None else tuple(c.tokens)
+
+
+def distinct_tokens(cands, spec: GainSpec) -> tuple[list[tuple[str, ...]], np.ndarray]:
+    """Token sequences of the distinct candidates and each candidate's
+    index among them.
+
+    Candidates are interned on their raw ``(text, tokens)`` pair, which
+    determines the token sequence, so :func:`candidate_tokens` runs once
+    per distinct pair; ``seqs[inverse[i]]`` is candidate ``i``'s sequence.
+    """
+    firsts, inverse = _distinct(cands, _raw_key)
+    return [candidate_tokens(cands[i], spec) for i in firsts], inverse
+
+
+def _distinct_answers(cands, side: str) -> tuple[list[str], np.ndarray]:
+    """Stripped answers of the distinct raw answers, as :func:`distinct_tokens`."""
+    firsts, inverse = _distinct(cands, lambda c: c.answer)
+    for i in firsts:
+        if cands[i].answer is None:
+            raise MissingAnswerError(f"{side}[{i}] has no extracted answer")
+    return [cands[i].answer.strip() for i in firsts], inverse
+
+
 @dataclass(frozen=True)
 class NgramCounts:
     """Sparse n-gram count vector of a single token sequence."""
@@ -97,12 +139,6 @@ def rouge_kernel(a: NgramCounts, b: NgramCounts) -> float:
         if gram not in a.counts:
             l1 += count
     return 1.0 - l1 / denom
-
-
-def _stripped_answer(c: Candidate, context: str) -> str:
-    if c.answer is None:
-        raise MissingAnswerError(f"{context} has no extracted answer")
-    return c.answer.strip()
 
 
 def _order_counters(tokens: tuple[str, ...], max_order: int) -> list[dict]:
@@ -191,35 +227,9 @@ def _clipped_matches(ev_maps: list[dict], hyp_maps: list[dict], jobs: int) -> np
         return np.vstack(list(pool.map(lambda rows: _pairwise_min_sum(ev[rows], hyp), blocks)))
 
 
-def gain_matrix(inst: Instance, spec: GainSpec, jobs: int = 1) -> np.ndarray:
-    """Pairwise gain table: entry (i, j) = G(evidence_i, hypothesis_j).
-
-    ``exact_match`` is 1.0 iff the normalized token sequences are equal,
-    ``answer_match`` iff the extracted answers agree after trimming
-    whitespace; both compare interned keys. Tokenization and n-gram
-    counting happen once per candidate, never per pair. For the n-gram
-    gains, ``rouge_n_kernel`` and ``sentence_bleu``, ``jobs`` > 1
-    partitions the evidence rows of the clipped-match products across a
-    thread pool; every cell's arithmetic is identical to the sequential
-    evaluation, so the result does not depend on the partitioning. The
-    match and external gains ignore ``jobs``.
-    ``kind='external'`` returns the instance's precomputed matrix as-is.
-    """
-    hyps = inst.hypotheses if inst.hypotheses is not None else inst.evidence
-    if spec.kind == "external":
-        if inst.external_gain is None:
-            raise MatrixShapeMismatchError(
-                "gain kind 'external' requires the instance to carry an external_gain matrix"
-            )
-        return np.asarray(inst.external_gain, dtype=np.float64)
-
-    if spec.kind == "answer_match":
-        ev_keys = [_stripped_answer(c, f"evidence[{i}]") for i, c in enumerate(inst.evidence)]
-        hyp_keys = [_stripped_answer(c, f"hypotheses[{j}]") for j, c in enumerate(hyps)]
-    else:
-        ev_keys = [candidate_tokens(c, spec) for c in inst.evidence]
-        hyp_keys = [candidate_tokens(c, spec) for c in hyps]
-
+def _distinct_gains(ev_keys: list, hyp_keys: list, spec: GainSpec, jobs: int) -> np.ndarray:
+    """Gains of every pair of distinct keys: token sequences, or stripped
+    answers for ``answer_match``."""
     if spec.kind in ("exact_match", "answer_match"):
         ids: dict = {}
         ev_ids = np.array([ids.setdefault(k, len(ids)) for k in ev_keys])
@@ -255,6 +265,43 @@ def gain_matrix(inst: Instance, spec: GainSpec, jobs: int = 1) -> np.ndarray:
         return matrix
 
     raise MbrError(f"unsupported gain kind {spec.kind!r}")
+
+
+def gain_matrix(inst: Instance, spec: GainSpec, jobs: int = 1) -> np.ndarray:
+    """Pairwise gain table: entry (i, j) = G(evidence_i, hypothesis_j).
+
+    ``exact_match`` is 1.0 iff the normalized token sequences are equal,
+    ``answer_match`` iff the extracted answers agree after trimming
+    whitespace; both compare interned keys. Each side is interned first,
+    on the raw ``(text, tokens)`` pair (the raw answer for
+    ``answer_match``): tokenization, n-gram counting and the gain itself
+    run once per distinct ``(text, tokens)`` candidate, never per sample
+    or per pair, and the distinct table is gathered back to one row per
+    evidence sample and one column per hypothesis. Every cell is a
+    function of its pair's keys alone, so the result equals the
+    per-sample table bit for bit. For the n-gram gains,
+    ``rouge_n_kernel`` and ``sentence_bleu``, ``jobs`` > 1 partitions the
+    distinct evidence rows of the clipped-match products across a thread
+    pool; every cell's arithmetic is identical to the sequential
+    evaluation, so the result does not depend on the partitioning. The
+    match and external gains ignore ``jobs``.
+    ``kind='external'`` returns the instance's precomputed matrix as-is.
+    """
+    hyps = inst.hypotheses if inst.hypotheses is not None else inst.evidence
+    if spec.kind == "external":
+        if inst.external_gain is None:
+            raise MatrixShapeMismatchError(
+                "gain kind 'external' requires the instance to carry an external_gain matrix"
+            )
+        return np.asarray(inst.external_gain, dtype=np.float64)
+
+    if spec.kind == "answer_match":
+        ev_keys, ev_inv = _distinct_answers(inst.evidence, "evidence")
+        hyp_keys, hyp_inv = _distinct_answers(hyps, "hypotheses")
+    else:
+        ev_keys, ev_inv = distinct_tokens(inst.evidence, spec)
+        hyp_keys, hyp_inv = distinct_tokens(hyps, spec)
+    return _distinct_gains(ev_keys, hyp_keys, spec, jobs).take(ev_inv, axis=0).take(hyp_inv, axis=1)
 
 
 def pair_gain(y: Candidate, y_prime: Candidate, spec: GainSpec) -> float:

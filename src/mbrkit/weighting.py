@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeightsError, ZeroLengthCandidateError
-from .metrics import candidate_tokens
+from .metrics import distinct_tokens
 from .types import GainSpec, Instance, WeightSpec, evidence_model_ids, evidence_scores
 
 
@@ -103,6 +103,9 @@ def compute_weights(inst: Instance, spec: WeightSpec, gain_spec: GainSpec) -> We
 
     Score-based kinds normalize in the log domain with max-subtraction;
     duplicates in the evidence multiset keep their own per-sample weight.
+    The length kinds take token counts from
+    :func:`mbrkit.metrics.distinct_tokens`, so each distinct
+    ``(text, tokens)`` candidate is tokenized once, as in the gain matrix.
     """
     n = len(inst.evidence)
     if spec.kind == "uniform":
@@ -115,7 +118,8 @@ def compute_weights(inst: Instance, spec: WeightSpec, gain_spec: GainSpec) -> We
         if spec.kind == "temperature":
             log_unnorm = scores * (1.0 / spec.tau - 1.0)
         else:
-            lengths = [len(candidate_tokens(c, gain_spec)) for c in inst.evidence]
+            seqs, inverse = distinct_tokens(inst.evidence, gain_spec)
+            lengths = np.array([len(t) for t in seqs], dtype=np.intp)[inverse].tolist()
             corrected = np.array(
                 [corrected_score(s, t, spec) for s, t in zip(scores, lengths)]
             )

@@ -15,6 +15,9 @@ from mbrkit import (
     MissingAnswerError,
     OrderMismatchError,
     WeightSpec,
+    candidate_tokens,
+    compute_weights,
+    corrected_score,
     gain_matrix,
     ngram_counts,
     pair_gain,
@@ -22,6 +25,7 @@ from mbrkit import (
     tokenize,
     validate_instance,
 )
+from mbrkit import metrics
 
 ROUGE1 = GainSpec(kind="rouge_n_kernel", n=1)
 EXACT = GainSpec(kind="exact_match")
@@ -357,3 +361,136 @@ class TestGainMatrix:
             WeightSpec(),
         )
         assert np.array_equal(gain_matrix(inst, EXACT), np.ones((2, 2)))
+
+
+# Candidates that intern apart although some share tokens: the same text
+# with different tokens, texts differing only in case or spacing, and
+# empty candidates with and without tokens.
+DUPLICATE_POOL = (
+    Candidate(text="the cat sat"),
+    Candidate(text="The Cat sat"),
+    Candidate(text="the  cat sat"),
+    Candidate(text="the cat sat", tokens=("the", "cat", "sat")),
+    Candidate(text="the cat sat", tokens=("a", "dog")),
+    Candidate(text="a b a b a"),
+    Candidate(text="a dog ran off the mat"),
+    Candidate(text=""),
+    Candidate(text="", tokens=()),
+    Candidate(text="", tokens=("a",)),
+)
+
+
+def draw_candidates(rng, size, pool=DUPLICATE_POOL):
+    # A fresh object per draw: duplicates are equal, never identical.
+    return tuple(Candidate(text=pool[k].text, tokens=pool[k].tokens)
+                 for k in rng.integers(0, len(pool), size=size))
+
+
+def per_sample_rows(inst, spec):
+    """Uncompressed reference: one gain_matrix call per evidence sample on
+    a one-row sub-instance, rows stacked in evidence order."""
+    return np.vstack([gain_matrix(Instance(id="r", evidence=(ev,), hypotheses=inst.hypotheses),
+                                  spec) for ev in inst.evidence])
+
+
+def per_sample_columns(inst, spec):
+    """The same with one call per hypothesis on a one-column sub-instance."""
+    return np.hstack([gain_matrix(Instance(id="c", evidence=inst.evidence, hypotheses=(hyp,)),
+                                  spec) for hyp in inst.hypotheses])
+
+
+class TestMultisetCompression:
+    SPECS = (
+        ROUGE1,
+        GainSpec(kind="rouge_n_kernel", n=2),
+        BLEU4,
+        EXACT,
+        GainSpec(kind="exact_match", lowercase=False),
+    )
+
+    def test_matrix_bytes_equal_per_sample_reference(self):
+        rng = np.random.default_rng(61)
+        evidence = draw_candidates(rng, 48)
+        for hypotheses in (None, draw_candidates(rng, 20)):
+            for spec in self.SPECS:
+                inst = validate_instance(Instance(id="t", evidence=evidence,
+                                                  hypotheses=hypotheses), spec, WeightSpec())
+                rows = per_sample_rows(inst, spec)
+                columns = per_sample_columns(inst, spec)
+                assert rows.shape == (len(inst.evidence), len(inst.hypotheses))
+                for jobs in (1, 3):
+                    compressed = gain_matrix(inst, spec, jobs=jobs)
+                    assert compressed.shape == rows.shape
+                    assert compressed.tobytes() == rows.tobytes(), (spec, jobs)
+                    assert compressed.tobytes() == columns.tobytes(), (spec, jobs)
+
+    def test_answer_match_interns_answers(self):
+        spec = GainSpec(kind="answer_match")
+        pool = ("4", " 4", "4 ", "5", "x")
+        rng = np.random.default_rng(62)
+        evidence = tuple(Candidate(text="same", answer=pool[k])
+                         for k in rng.integers(0, len(pool), size=40))
+        inst = validate_instance(Instance(id="t", evidence=evidence), spec, WeightSpec())
+        for jobs in (1, 3):
+            assert gain_matrix(inst, spec, jobs).tobytes() == per_sample_rows(inst, spec).tobytes()
+        missing = evidence[:3] + (Candidate(text="same"),) + evidence[3:6] + (Candidate(text="z"),)
+        with pytest.raises(MissingAnswerError, match=r"evidence\[3\]"):
+            gain_matrix(Instance(id="t", evidence=missing), spec)
+
+    def test_list_tokens_are_interned_as_tuples(self):
+        a = Candidate(text="", tokens=["a", "b"])
+        c = Candidate(text="", tokens=["a", "c"])
+        assert pair_gain(a, c, ROUGE1) == 0.5
+        assert pair_gain(a, c, BLEU4) == reference_sentence_bleu(("a", "c"), ("a", "b"), 4)
+        as_tuples = Instance(id="t", evidence=(token_cand("ab"), token_cand("ac"), token_cand("ab")))
+        as_lists = Instance(id="t", evidence=(a, c, Candidate(text="", tokens=["a", "b"])))
+        for spec in (ROUGE1, BLEU4):
+            want = gain_matrix(as_tuples, spec)
+            assert gain_matrix(as_lists, spec).tobytes() == want.tobytes()
+            assert want[0, 2] == want[2, 0] == 1.0
+
+    def test_length_weights_equal_per_sample_lengths(self):
+        rng = np.random.default_rng(63)
+        pool = tuple(c for c in DUPLICATE_POOL if c.text and c.tokens != ())
+        evidence = tuple(Candidate(text=c.text, tokens=c.tokens, score=float(s))
+                         for c, s in zip(draw_candidates(rng, 64, pool),
+                                         rng.normal(-10.0, 3.0, size=64)))
+        inst = Instance(id="t", evidence=evidence)
+        scores = [c.score for c in evidence]
+        for wspec in (WeightSpec(kind="length_norm", beta=1.0),
+                      WeightSpec(kind="length_reward", gamma=0.5)):
+            for gspec in (ROUGE1, GainSpec(lowercase=False, tokenizer="unicode_word")):
+                lengths = [len(candidate_tokens(c, gspec)) for c in evidence]
+                log_w = np.array([corrected_score(s, n, wspec)
+                                  for s, n in zip(scores, lengths)]) - np.array(scores)
+                w = np.exp(log_w - np.max(log_w))
+                w = w / np.sum(w)
+                assert compute_weights(inst, wspec, gspec).weights.tobytes() == w.tobytes()
+
+    def test_counting_runs_once_per_distinct_candidate(self, monkeypatch):
+        texts = ("the cat sat", "a dog ran off", "the cat sat on the mat")
+        rng = np.random.default_rng(64)
+        evidence = tuple(Candidate(text=texts[k], score=-1.0)
+                         for k in rng.integers(0, len(texts), size=512))
+        inst = validate_instance(Instance(id="t", evidence=evidence), ROUGE1, WeightSpec())
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(metrics, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("candidate_tokens", "ngram_counts", "_order_counters"):
+            monkeypatch.setattr(metrics, name, counted(name))
+        # Hypotheses default to the evidence: two sides of three distinct each.
+        gain_matrix(inst, ROUGE1)
+        assert calls["candidate_tokens"] <= 6 and calls["ngram_counts"] <= 6
+        calls.clear()
+        gain_matrix(inst, BLEU4)
+        assert calls["candidate_tokens"] <= 6 and calls["_order_counters"] <= 6
+        calls.clear()
+        compute_weights(inst, WeightSpec(kind="length_norm", beta=1.0), ROUGE1)
+        assert calls["candidate_tokens"] <= 3
