@@ -1,7 +1,13 @@
 """Tests for tokenization, n-gram counts, and the built-in gain functions."""
 
+import ast
 import math
+import os
+import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +34,14 @@ from mbrkit import (
 from mbrkit import metrics
 
 ROUGE1 = GainSpec(kind="rouge_n_kernel", n=1)
+ROUGE2 = GainSpec(kind="rouge_n_kernel", n=2)
 EXACT = GainSpec(kind="exact_match")
 BLEU4 = GainSpec(kind="sentence_bleu", max_order=4)
+SRC = Path(metrics.__file__).resolve().parents[1]
+
+# Gapped and large repeat counts: x repeated k times, then y repeated k % 4 times.
+GAPPED_EVIDENCE = tuple(("x",) * k + ("y",) * (k % 4) for k in (1, 3, 7, 1000))
+GAPPED_HYPOTHESES = tuple(("x",) * k + ("y",) * (k % 4) for k in (2, 999, 1001))
 
 
 def cand(text, **kwargs):
@@ -38,6 +50,11 @@ def cand(text, **kwargs):
 
 def token_cand(tokens):
     return Candidate(text=" ".join(tokens), tokens=tuple(tokens))
+
+
+def token_instance(evidence, hypotheses):
+    return Instance(id="t", evidence=tuple(map(token_cand, evidence)),
+                    hypotheses=tuple(map(token_cand, hypotheses)))
 
 
 def random_tokens(rng, vocab_size=20, max_len=30):
@@ -170,14 +187,11 @@ class TestRougeKernel:
             assert abs(got - kernel_by_overlap(a, b, n)) <= 1e-12
             assert 0.0 <= got <= 1.0
         # Gapped and large repeat counts, through the batched matrix too.
-        evidence = [("x",) * k + ("y",) * (k % 4) for k in (1, 3, 7, 1000)]
-        hypotheses = [("x",) * k + ("y",) * (k % 4) for k in (2, 999, 1001)]
         for n in (1, 2):
-            matrix = gain_matrix(Instance(id="t", evidence=tuple(map(token_cand, evidence)),
-                                          hypotheses=tuple(map(token_cand, hypotheses))),
+            matrix = gain_matrix(token_instance(GAPPED_EVIDENCE, GAPPED_HYPOTHESES),
                                  GainSpec(kind="rouge_n_kernel", n=n))
-            for i, a in enumerate(evidence):
-                for j, b in enumerate(hypotheses):
+            for i, a in enumerate(GAPPED_EVIDENCE):
+                for j, b in enumerate(GAPPED_HYPOTHESES):
                     want = kernel_by_overlap(a, b, n)
                     assert abs(rouge_kernel(ngram_counts(a, n), ngram_counts(b, n)) - want) <= 1e-12
                     assert abs(matrix[i, j] - want) <= 1e-12
@@ -265,7 +279,7 @@ class TestSentenceBleu:
             assert got == pytest.approx(want, abs=1e-12)
             assert 0.0 <= got <= 1.0
         # Gapped and large repeat counts.
-        gapped = [("x",) * k + ("y",) * (k % 4) for k in (1, 3, 7, 1000, 2, 999, 1001)]
+        gapped = GAPPED_EVIDENCE + GAPPED_HYPOTHESES
         for order in range(1, 5):
             spec = GainSpec(kind="sentence_bleu", max_order=order)
             for ref in gapped:
@@ -338,15 +352,55 @@ class TestGainMatrix:
                 for j, hyp in enumerate(inst.hypotheses):
                     assert matrix[i, j] == pair_gain(ev, hyp, spec)
 
-    def test_jobs_do_not_change_values(self):
+    def test_jobs_do_not_change_values(self, monkeypatch):
         rng = np.random.default_rng(9)
         evidence = tuple(token_cand(random_tokens(rng, vocab_size=6, max_len=20))
                          for _ in range(60))
-        for spec in (ROUGE1, GainSpec(kind="sentence_bleu")):
-            inst = validate_instance(Instance(id="t", evidence=evidence), spec, WeightSpec())
-            sequential = gain_matrix(inst, spec, jobs=1)
-            for jobs in (2, 3, 8):
-                assert np.array_equal(gain_matrix(inst, spec, jobs=jobs), sequential)
+        instances = (Instance(id="t", evidence=evidence),
+                     token_instance(GAPPED_EVIDENCE, GAPPED_HYPOTHESES))
+        pools = []
+
+        class RecordingPool(metrics.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(metrics, "ThreadPoolExecutor", RecordingPool)
+        for inst in instances:
+            for spec in (ROUGE1, ROUGE2, BLEU4):
+                sequential = gain_matrix(inst, spec, jobs=1)
+                # One row per block, a small odd budget, and the default.
+                for chunk in (1, 19, metrics._PAIR_CHUNK):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(metrics, "_PAIR_CHUNK", chunk)
+                        for jobs in (1, 2, 3, 8):
+                            got = gain_matrix(inst, spec, jobs=jobs)
+                            assert got.tobytes() == sequential.tobytes(), (spec, chunk, jobs)
+        # Small budgets split the instances into blocks that jobs > 1 runs on
+        # a real pool of up to ``jobs`` threads.
+        assert pools and min(pools) >= 2 and max(pools) == 8
+
+    def test_zero_postings_edges(self):
+        empty = ((), ())
+        one_token = (("a",), ("b",), ("a",))
+        words = (("a", "b", "c", "d"), ("b", "a"), ("c",))
+        disjoint = (("x", "y", "z", "w"), ("y", "x"), ("w", "w", "w", "w", "w"))
+        cases = [
+            (ROUGE1, empty, words), (ROUGE1, words, empty), (ROUGE1, empty, empty),
+            (BLEU4, empty, words), (BLEU4, words, empty), (BLEU4, empty, empty),
+            (ROUGE2, one_token, one_token), (ROUGE2, one_token, words),
+            (BLEU4, words, disjoint), (BLEU4, disjoint, words),
+        ]
+        for spec, evidence, hypotheses in cases:
+            matrix = gain_matrix(token_instance(evidence, hypotheses), spec)
+            assert matrix.shape == (len(evidence), len(hypotheses))
+            for i, ev in enumerate(evidence):
+                for j, hyp in enumerate(hypotheses):
+                    if spec.kind == "rouge_n_kernel":
+                        want = kernel_by_overlap(ev, hyp, spec.n)
+                    else:
+                        want = reference_sentence_bleu(hyp, ev, spec.max_order)
+                    assert matrix[i, j] == pytest.approx(want, abs=1e-12), (spec, ev, hyp)
 
     def test_external_needs_the_instance_matrix(self):
         with pytest.raises(MbrError, match="no pairwise scalar form"):
@@ -494,3 +548,30 @@ class TestMultisetCompression:
         calls.clear()
         compute_weights(inst, WeightSpec(kind="length_norm", beta=1.0), ROUGE1)
         assert calls["candidate_tokens"] <= 3
+
+
+class TestDependencies:
+    def test_cli_import_does_not_load_scipy(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import mbrkit.cli, sys; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=120, check=True)
+        assert proc.stdout.strip() == "False"
+
+    def test_third_party_imports_match_declared_dependencies(self):
+        tomllib = pytest.importorskip("tomllib")
+        imported = set()
+        for path in sorted((SRC / "mbrkit").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                imported |= {name.split(".")[0] for name in names}
+        third_party = imported - set(sys.stdlib_module_names) - {"mbrkit"}
+        pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
+        declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower().replace("-", "_")
+                    for dep in pyproject["project"]["dependencies"]}
+        assert third_party == declared
