@@ -13,11 +13,14 @@ over sparse count vectors T (:func:`rouge_kernel` computes it this way
 for one pair); by the L1 identity this equals
 2 * sum_g min(T[g], T'[g]) / (|T|_1 + |T'|_1), which the matrix computes
 for all pairs at once by joining the two sides' (gram, row, count)
-postings on the gram. Sentence BLEU follows the sacrebleu conventions:
-clipped precisions, effective order, exponential smoothing (the k-th
-zero-match order contributes 1 / (2^k * total_n)), and the standard
-brevity penalty; an empty hypothesis scores 0. Its clipped matches of
-every order are the same min-sum, finished cell by cell.
+postings on the gram. The postings of every order come from numpy alone:
+tokens get integer ids, and each n-gram's id is that of its (n-1)-gram
+paired with the next token. Sentence BLEU follows the sacrebleu
+conventions: clipped precisions, effective order, exponential smoothing
+(the k-th zero-match order contributes 1 / (2^k * total_n)), and the
+standard brevity penalty; an empty hypothesis scores 0. Its clipped
+matches of every order are the same min-sum, finished as arrays over
+blocks of rows with libm's ``log`` and ``exp`` from :mod:`math`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -142,31 +146,12 @@ def rouge_kernel(a: NgramCounts, b: NgramCounts) -> float:
 
 
 def _order_counters(tokens: tuple[str, ...], max_order: int) -> list[dict]:
+    """Count maps of orders 1..``max_order`` of one sequence, as :func:`ngram_counts`.
+
+    The gain matrix builds its postings with :func:`_ngram_postings`
+    instead; ``bench/tracing.py`` times its n-gram preparation with this.
+    """
     return [ngram_counts(tokens, n).counts for n in range(1, max_order + 1)]
-
-
-def _sentence_bleu(ref_len: int, hyp_len: int, correct, max_order: int) -> float:
-    """Sentence BLEU of one pair from its lengths and clipped matches per order."""
-    if hyp_len == 0:
-        return 0.0
-    log_prec_sum = 0.0
-    effective_order = 0
-    smooth = 1.0
-    for n in range(1, max_order + 1):
-        total = hyp_len - n + 1
-        if total <= 0:
-            break
-        effective_order = n
-        if correct[n - 1] == 0:
-            smooth *= 2.0
-            precision = 1.0 / (smooth * total)
-        else:
-            precision = correct[n - 1] / total
-        log_prec_sum += math.log(precision)
-    score = math.exp(log_prec_sum / effective_order)
-    if hyp_len < ref_len:
-        score *= math.exp(1.0 - ref_len / hyp_len)
-    return score
 
 
 # ---------------------------------------------------------------------------
@@ -176,37 +161,62 @@ def _sentence_bleu(ref_len: int, hyp_len: int, correct, max_order: int) -> float
 
 # Posting pairs plus output cells that one block of evidence rows expands at
 # once: 2^16 adds under 10 MB of peak memory at jobs=8 on a 1000x1000 matrix.
+# BLEU's finish takes blocks of at most this many cells, or one row.
 _PAIR_CHUNK = 1 << 16
 
-
-def _postings(count_maps: list[dict], vocab: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gram id, row and count of every entry, in row order; new grams join ``vocab``."""
-    grams = np.fromiter((vocab.setdefault(gram, len(vocab))
-                         for row_counts in count_maps for gram in row_counts), np.intp)
-    rows = np.repeat(np.arange(len(count_maps)), [len(row_counts) for row_counts in count_maps])
-    counts = np.fromiter((c for row_counts in count_maps for c in row_counts.values()), np.float64)
-    return grams, rows, counts
+_Postings = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _clipped_matches(ev_maps: list[dict], hyp_maps: list[dict], jobs: int) -> np.ndarray:
-    """sum_g min(ev_maps[i][g], hyp_maps[j][g]) for all pairs of count maps.
+def _ngram_postings(ev_seqs: list, hyp_seqs: list,
+                    max_order: int) -> Iterator[tuple[_Postings, _Postings]]:
+    """Evidence and hypothesis ``(gram, row, count)`` postings of each
+    order 1..``max_order`` in turn, each side in row order.
 
-    Each evidence posting finds its gram's run of hypothesis postings by
-    ``searchsorted``; each pair adds the smaller count to its cell by
-    ``bincount``. A block of evidence rows (at most ``_PAIR_CHUNK`` pairs
-    plus cells, or one row) fills only its own rows, so with ``jobs`` > 1
-    blocks run on a thread pool. Integer sums in float64 are exact.
+    Tokens get ids in one dict pass over both sides; the id of the n-gram
+    at a position is that of its (n-1)-gram paired with the next token,
+    made dense by ``np.unique``, so equal grams share an id on both sides.
     """
+    seqs = ev_seqs + hyp_seqs
     vocab: dict = {}
-    hyp_gram, hyp_row, hyp_count = _postings(hyp_maps, vocab)
-    by_gram = np.argsort(hyp_gram, kind="stable")
-    hyp_gram, hyp_row, hyp_count = hyp_gram[by_gram], hyp_row[by_gram], hyp_count[by_gram]
-    ev_gram, ev_row, ev_count = _postings(ev_maps, vocab)
+    lens = np.fromiter(map(len, seqs), np.int64, len(seqs))
+    tokens = np.fromiter((vocab.setdefault(t, len(vocab)) for seq in seqs for t in seq),
+                         np.int64, int(lens.sum()))
+    row_of = np.repeat(np.arange(len(seqs)), lens)
+    end_of = np.repeat(np.cumsum(lens), lens)  # end of the sequence holding each token
+    starts, grams, distinct = np.arange(len(tokens)), tokens, len(vocab)
+    for n in range(1, max_order + 1):
+        if n > 1:
+            keep = starts + n <= end_of[starts]
+            starts = starts[keep]
+            pairs = grams[keep] * len(vocab) + tokens[starts + n - 1]
+            distinct_pairs, grams = np.unique(pairs, return_inverse=True)
+            distinct = len(distinct_pairs)
+        keys, counts = np.unique(row_of[starts] * distinct + grams, return_counts=True)
+        rows, gram_ids = np.divmod(keys, max(distinct, 1))
+        split = np.searchsorted(rows, len(ev_seqs))
+        yield ((gram_ids[:split], rows[:split], counts[:split]),
+               (gram_ids[split:], rows[split:] - len(ev_seqs), counts[split:]))
+
+
+def _clipped_matches(ev: _Postings, hyp: _Postings, height: int, width: int,
+                     jobs: int) -> np.ndarray:
+    """sum_g min(T_i[g], T'_j[g]) for all ``height`` x ``width`` pairs of rows.
+
+    ``ev`` and ``hyp`` are ``(gram, row, count)`` postings in row order, as
+    :func:`_ngram_postings` builds them. Each evidence posting finds its
+    gram's run of hypothesis postings by ``searchsorted``; each pair adds
+    the smaller count to its cell by ``bincount``. A block of evidence
+    rows (at most ``_PAIR_CHUNK`` pairs plus cells, or one row) fills only
+    its own rows, so with ``jobs`` > 1 blocks run on a thread pool.
+    Integer sums in float64 are exact.
+    """
+    ev_gram, ev_row, ev_count = ev
+    by_gram = np.argsort(hyp[0], kind="stable")
+    hyp_gram, hyp_row, hyp_count = (a[by_gram] for a in hyp)
     run_start = np.searchsorted(hyp_gram, ev_gram, side="left")
     fan = np.searchsorted(hyp_gram, ev_gram, side="right") - run_start
     pairs_before = np.concatenate(([0], np.cumsum(fan)))
     shift = run_start - pairs_before[:-1]  # pair p of posting e joins hyp posting p + shift[e]
-    height, width = len(ev_maps), len(hyp_maps)
     row_start = np.searchsorted(ev_row, np.arange(height + 1))
     step = max(1, _PAIR_CHUNK // (width + int(np.diff(pairs_before[row_start]).max(initial=1))))
     out = np.empty(height * width, dtype=np.float64)
@@ -228,6 +238,62 @@ def _clipped_matches(ev_maps: list[dict], hyp_maps: list[dict], jobs: int) -> np
     return out.reshape(height, width)
 
 
+def _libm_per_distinct(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` (a ``math`` function) of every element, called once per distinct value."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([fn(v) for v in distinct.tolist()])[inverse].reshape(values.shape)
+
+
+def _bleu_finish(ref_lens: np.ndarray, hyp_lens: np.ndarray, correct: list[np.ndarray],
+                 max_order: int) -> np.ndarray:
+    """Sentence BLEU of every (reference, hypothesis) pair of rows from the
+    lengths and the clipped matches of each order.
+
+    Array arithmetic over blocks of reference rows, in the scalar order of
+    operations: each precision is ``matches / total``, or
+    ``1 / (smooth * total)`` with ``smooth`` doubled at each zero-match
+    order; the logs add in order of n and divide by the effective order
+    min(hyp_len, max_order); the brevity penalty multiplies when
+    hyp_len < ref_len. ``log`` and ``exp`` are libm's (``math``), whose
+    results numpy's vectorized versions do not always reproduce. An
+    order the hypothesis is too short for has precision 1, log 0.0, and
+    adds nothing; an empty hypothesis scores 0.
+    """
+    height, width = len(ref_lens), len(hyp_lens)
+    hyp_f = hyp_lens.astype(np.float64)
+    orders = np.arange(1, max_order + 1)[:, None]
+    totals = hyp_f - orders + 1.0  # (max_order, width)
+    supported = totals > 0.0
+    safe_totals = np.where(supported, totals, 1.0)
+    effective = np.minimum(np.maximum(hyp_f, 1.0), max_order)
+    out = np.empty((height, width), dtype=np.float64)
+    step = max(1, _PAIR_CHUNK // max(width, 1))
+    for first in range(0, height, step):
+        stop = min(first + step, height)
+        smooth = np.ones((stop - first, width))
+        for n in range(max_order):
+            matches = correct[n][first:stop]
+            zero = matches == 0.0
+            np.multiply(smooth, 2.0, out=smooth, where=zero)
+            precision = matches / safe_totals[n]
+            np.divide(1.0, smooth * safe_totals[n], out=precision, where=zero)
+            precision[:, ~supported[n]] = 1.0
+            logs = _libm_per_distinct(math.log, precision)
+            if n == 0:
+                log_sum = logs
+            else:
+                log_sum += logs
+        log_sum /= effective
+        score = np.fromiter(map(math.exp, log_sum.ravel().tolist()), np.float64, log_sum.size)
+        score = score.reshape(log_sum.shape)
+        ref_f = ref_lens[first:stop, None].astype(np.float64)
+        brevity = np.where(hyp_f < ref_f, 1.0 - ref_f / np.maximum(hyp_f, 1.0), 0.0)
+        score *= _libm_per_distinct(math.exp, brevity)  # exp(0.0) == 1.0 leaves a cell as is
+        score[:, hyp_lens == 0] = 0.0
+        out[first:stop] = score
+    return out
+
+
 def _distinct_gains(ev_keys: list, hyp_keys: list, spec: GainSpec, jobs: int) -> np.ndarray:
     """Gains of every pair of distinct keys: token sequences, or stripped
     answers for ``answer_match``."""
@@ -237,35 +303,29 @@ def _distinct_gains(ev_keys: list, hyp_keys: list, spec: GainSpec, jobs: int) ->
         hyp_ids = np.array([ids.setdefault(k, len(ids)) for k in hyp_keys])
         return np.equal.outer(ev_ids, hyp_ids).astype(np.float64)
 
+    if spec.kind not in ("rouge_n_kernel", "sentence_bleu"):
+        raise MbrError(f"unsupported gain kind {spec.kind!r}")
+    height, width = len(ev_keys), len(hyp_keys)
+    ev_lens = np.fromiter(map(len, ev_keys), np.int64, height)
+    hyp_lens = np.fromiter(map(len, hyp_keys), np.int64, width)
+    order = spec.n if spec.kind == "rouge_n_kernel" else spec.max_order
+    postings = _ngram_postings(ev_keys, hyp_keys, order)
+
     if spec.kind == "rouge_n_kernel":
-        ev_counts = [ngram_counts(t, spec.n) for t in ev_keys]
-        hyp_counts = [ngram_counts(t, spec.n) for t in hyp_keys]
-        inter = _clipped_matches(
-            [c.counts for c in ev_counts], [c.counts for c in hyp_counts], jobs)
-        ev_tot = np.array([c.total for c in ev_counts], dtype=np.float64)
-        hyp_tot = np.array([c.total for c in hyp_counts], dtype=np.float64)
-        denom = ev_tot[:, None] + hyp_tot[None, :]
-        l1 = denom - 2.0 * inter
-        safe = np.where(denom > 0, denom, 1.0)
-        return np.where(denom > 0, 1.0 - l1 / safe, 1.0)
+        # 1 - (denom - 2 * inter) / denom in place: every value is an exact
+        # integer until the division, and a zero denom (two empty sides, so
+        # no matches) becomes 1, which gives 1 - 0 / 1 == 1.0.
+        ev, hyp = list(postings)[-1]
+        gains = _clipped_matches(ev, hyp, height, width, jobs)
+        denom = np.add.outer(np.maximum(ev_lens - order + 1.0, 0.0),
+                             np.maximum(hyp_lens - order + 1.0, 0.0))
+        gains *= -2.0
+        gains += denom
+        gains /= np.maximum(denom, 1.0, out=denom)
+        return np.subtract(1.0, gains, out=gains)
 
-    if spec.kind == "sentence_bleu":
-        order = spec.max_order
-        ev_orders = [_order_counters(t, order) for t in ev_keys]
-        hyp_orders = [_order_counters(t, order) for t in hyp_keys]
-        correct = [
-            _clipped_matches([c[n] for c in ev_orders], [c[n] for c in hyp_orders], jobs)
-            for n in range(order)
-        ]
-        hyp_lens = [len(t) for t in hyp_keys]
-        matrix = np.empty((len(ev_keys), len(hyp_keys)), dtype=np.float64)
-        for i, ref in enumerate(ev_keys):
-            rows = zip(*(c[i].tolist() for c in correct))
-            matrix[i] = [_sentence_bleu(len(ref), hyp_len, row, order)
-                         for hyp_len, row in zip(hyp_lens, rows)]
-        return matrix
-
-    raise MbrError(f"unsupported gain kind {spec.kind!r}")
+    correct = [_clipped_matches(ev, hyp, height, width, jobs) for ev, hyp in postings]
+    return _bleu_finish(ev_lens, hyp_lens, correct, order)
 
 
 def gain_matrix(inst: Instance, spec: GainSpec, jobs: int = 1) -> np.ndarray:
@@ -281,10 +341,13 @@ def gain_matrix(inst: Instance, spec: GainSpec, jobs: int = 1) -> np.ndarray:
     evidence sample and one column per hypothesis. Every cell is a
     function of its pair's keys alone, so the result equals the
     per-sample table bit for bit. For the n-gram gains,
-    ``rouge_n_kernel`` and ``sentence_bleu``, ``jobs`` > 1 runs the row
-    blocks of the clipped-match join on a thread pool; its sums are exact
-    integers, so the result does not depend on ``jobs``. The match and
-    external gains ignore ``jobs``.
+    ``rouge_n_kernel`` and ``sentence_bleu``, the postings of both sides
+    are built in one call of :func:`_ngram_postings`, and ``jobs`` > 1
+    runs the row blocks of the clipped-match join on a thread pool; its
+    sums are exact integers, so the result does not depend on ``jobs``.
+    BLEU's finish is array arithmetic with libm's ``log`` and ``exp``,
+    bit for bit the scalar formula. The match and external gains ignore
+    ``jobs``.
     ``kind='external'`` returns the instance's precomputed matrix as-is.
     """
     hyps = inst.hypotheses if inst.hypotheses is not None else inst.evidence
@@ -301,7 +364,14 @@ def gain_matrix(inst: Instance, spec: GainSpec, jobs: int = 1) -> np.ndarray:
     else:
         ev_keys, ev_inv = distinct_tokens(inst.evidence, spec)
         hyp_keys, hyp_inv = distinct_tokens(hyps, spec)
-    return _distinct_gains(ev_keys, hyp_keys, spec, jobs).take(ev_inv, axis=0).take(hyp_inv, axis=1)
+    table = _distinct_gains(ev_keys, hyp_keys, spec, jobs)
+    # A side without duplicates is already in sample order. Columns go
+    # first: the row take then copies whole rows.
+    if len(hyp_keys) < len(hyp_inv):
+        table = table.take(hyp_inv, axis=1)
+    if len(ev_keys) < len(ev_inv):
+        table = table.take(ev_inv, axis=0)
+    return table
 
 
 def pair_gain(y: Candidate, y_prime: Candidate, spec: GainSpec) -> float:

@@ -287,6 +287,50 @@ class TestSentenceBleu:
                     got = pair_gain(token_cand(ref), token_cand(hyp), spec)
                     assert got == pytest.approx(reference_sentence_bleu(hyp, ref, order), abs=1e-12)
 
+    def test_matrix_cells_equal_reference_exactly(self, monkeypatch):
+        # The array finish performs the scalar formula's IEEE operations in
+        # its order with libm's log and exp, so cells are equal, not close.
+        rng = np.random.default_rng(12)
+        edges = (
+            (),  # empty hypothesis
+            ("a",), ("a", "b"), ("b", "a", "c"),  # shorter than max_order
+            ("p", "q", "r", "s", "t"), ("a", "b", "c", "d", "e"),  # no gram shared
+            ("a", "b", "c", "d", "e", "f", "g", "h"), ("a", "b", "c"),  # longer, shorter
+        )
+        pool = edges + tuple(random_tokens(rng, vocab_size=8, max_len=12) for _ in range(40))
+        gapped = GAPPED_EVIDENCE + GAPPED_HYPOTHESES
+        for seqs in (pool, gapped):
+            inst = token_instance(seqs, seqs)
+            for order in range(1, 5):
+                spec = GainSpec(kind="sentence_bleu", max_order=order)
+                want = np.array([[reference_sentence_bleu(hyp, ref, order) for hyp in seqs]
+                                 for ref in seqs])
+                for chunk in (1, 19, metrics._PAIR_CHUNK):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(metrics, "_PAIR_CHUNK", chunk)
+                        for jobs in (1, 3):
+                            got = gain_matrix(inst, spec, jobs=jobs)
+                            assert got.tolist() == want.tolist(), (order, chunk, jobs)
+        # Zero matches at every order: smoothing 2, 4, 8 and 16.
+        disjoint = pair_gain(token_cand(edges[5]), token_cand(edges[4]), BLEU4)
+        assert disjoint == math.exp(sum(math.log(1.0 / (2.0 ** k * (6 - k)))
+                                        for k in range(1, 5)) / 4)
+
+    def test_finish_uses_libm_not_numpy_log_exp(self, monkeypatch):
+        # numpy's vectorized log and exp differ from libm's in the last bit
+        # on some inputs, which would change the BLEU goldens.
+        rng = np.random.default_rng(13)
+        seqs = tuple(random_tokens(rng, vocab_size=6, max_len=10) for _ in range(20))
+        inst = token_instance(seqs, seqs)
+        want = gain_matrix(inst, BLEU4)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy log/exp called")
+
+        monkeypatch.setattr(np, "log", forbidden)
+        monkeypatch.setattr(np, "exp", forbidden)
+        assert gain_matrix(inst, BLEU4).tobytes() == want.tobytes()
+
     def test_self_gain_is_one(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
@@ -527,25 +571,29 @@ class TestMultisetCompression:
         evidence = tuple(Candidate(text=texts[k], score=-1.0)
                          for k in rng.integers(0, len(texts), size=512))
         inst = validate_instance(Instance(id="t", evidence=evidence), ROUGE1, WeightSpec())
+        distinct = sorted(tuple(t.split()) for t in texts)
         calls = Counter()
+        sides = []
+        tokens, postings = metrics.candidate_tokens, metrics._ngram_postings
 
-        def counted(name):
-            fn = getattr(metrics, name)
+        def counted_tokens(*args, **kwargs):
+            calls["candidate_tokens"] += 1
+            return tokens(*args, **kwargs)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def recorded_postings(ev_seqs, hyp_seqs, max_order):
+            sides.append((sorted(ev_seqs), sorted(hyp_seqs)))
+            return postings(ev_seqs, hyp_seqs, max_order)
 
-        for name in ("candidate_tokens", "ngram_counts", "_order_counters"):
-            monkeypatch.setattr(metrics, name, counted(name))
-        # Hypotheses default to the evidence: two sides of three distinct each.
-        gain_matrix(inst, ROUGE1)
-        assert calls["candidate_tokens"] <= 6 and calls["ngram_counts"] <= 6
-        calls.clear()
-        gain_matrix(inst, BLEU4)
-        assert calls["candidate_tokens"] <= 6 and calls["_order_counters"] <= 6
-        calls.clear()
+        monkeypatch.setattr(metrics, "candidate_tokens", counted_tokens)
+        monkeypatch.setattr(metrics, "_ngram_postings", recorded_postings)
+        # Hypotheses default to the evidence: two sides of three distinct
+        # each, and each distinct sequence reaches the builder once per side.
+        for spec in (ROUGE1, BLEU4):
+            gain_matrix(inst, spec)
+            assert calls["candidate_tokens"] <= 6
+            assert sides == [(distinct, distinct)], spec
+            calls.clear()
+            sides.clear()
         compute_weights(inst, WeightSpec(kind="length_norm", beta=1.0), ROUGE1)
         assert calls["candidate_tokens"] <= 3
 
