@@ -12,8 +12,13 @@ The n-gram overlap kernel is defined in its signed-difference form,
 over sparse count vectors T (:func:`rouge_kernel` computes it this way
 for one pair); by the L1 identity this equals
 2 * sum_g min(T[g], T'[g]) / (|T|_1 + |T'|_1), which the matrix computes
-for all pairs at once by joining the two sides' (gram, row, count)
-postings on the gram. The postings of every order come from numpy alone:
+for all pairs at once from the two sides' (gram, row, count) postings.
+A gram found in so many rows that its pairs of postings are at least
+the cells of a dense column is heavy. The heavy grams are summed by one
+float64 product of level columns: min(a, b) is the sum of the steps
+between a gram's distinct counts that both a and b reach. The rare,
+light grams are joined posting by posting. Every term is an integer, so
+both sums are exact. The postings of every order come from numpy alone:
 tokens get integer ids, and each n-gram's id is that of its (n-1)-gram
 paired with the next token. Sentence BLEU follows the sacrebleu
 conventions: clipped precisions, effective order, exponential smoothing
@@ -159,9 +164,11 @@ def _order_counters(tokens: tuple[str, ...], max_order: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-# Posting pairs plus output cells that one block of evidence rows expands at
-# once: 2^16 adds under 10 MB of peak memory at jobs=8 on a 1000x1000 matrix.
-# BLEU's finish takes blocks of at most this many cells, or one row.
+# Light posting pairs plus output cells that one block of evidence rows
+# expands at once: 2^16 adds under 10 MB of peak memory at jobs=8 on a
+# 1000x1000 matrix. A block's level product goes in spans of columns whose
+# two dense factors hold at most this many entries in all. BLEU's finish
+# takes blocks of at most this many cells, or one row.
 _PAIR_CHUNK = 1 << 16
 
 _Postings = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -198,21 +205,65 @@ def _ngram_postings(ev_seqs: list, hyp_seqs: list,
                (gram_ids[split:], rows[split:] - len(ev_seqs), counts[split:]))
 
 
+def _level_entries(ev: _Postings, hyp: _Postings, grams: int) -> tuple[tuple, np.ndarray]:
+    """Dense level columns of postings whose gram ids run over ``range(grams)``.
+
+    min(a, b) = sum_l (v_l - v_(l-1)) [a >= v_l] [b >= v_l], with v_0 = 0
+    and v_1 < v_2 < ... the distinct counts of the gram on either side up
+    to the smaller side's largest count, which stands for any count above
+    it. Each (gram, level) pair is a column. Returns the ``(row, column)``
+    entries of each side, where the evidence side holds the level step and
+    the hypothesis side 1, and the step of every column.
+    """
+    top = np.zeros(grams, dtype=np.int64)
+    np.maximum.at(top, ev[0], ev[2])
+    hyp_top = np.zeros(grams, dtype=np.int64)
+    np.maximum.at(hyp_top, hyp[0], hyp[2])
+    np.minimum(top, hyp_top, out=top)
+    gram, row, count = (np.concatenate(side) for side in zip(ev, hyp))
+    # Level v of gram g has slot base[g] + v - 1, so the slots number at most
+    # the tokens of one side; the used slots are the columns, in slot order.
+    base = np.concatenate(([0], np.cumsum(top)))
+    slot = base[gram] + np.minimum(count, top[gram]) - 1
+    used = np.flatnonzero(np.bincount(slot, minlength=int(base[-1])))
+    below = np.concatenate(([-1], used[:-1]))  # the level under each, or one slot under its gram
+    steps = used - np.maximum(below, base[np.searchsorted(base[1:], used, side="right")] - 1)
+    # A posting sets the columns of its gram's levels up to its own count.
+    first = np.searchsorted(used, base[gram])
+    levels = np.searchsorted(used, slot) - first + 1
+    cols = np.repeat(first - np.cumsum(levels) + levels, levels) + np.arange(int(levels.sum()))
+    rows = np.repeat(row, levels)
+    split = int(levels[:len(ev[0])].sum())
+    return ((rows[:split], cols[:split]), (rows[split:], cols[split:])), steps
+
+
 def _clipped_matches(ev: _Postings, hyp: _Postings, height: int, width: int,
                      jobs: int) -> np.ndarray:
     """sum_g min(T_i[g], T'_j[g]) for all ``height`` x ``width`` pairs of rows.
 
     ``ev`` and ``hyp`` are ``(gram, row, count)`` postings in row order, as
-    :func:`_ngram_postings` builds them. Each evidence posting finds its
-    gram's run of hypothesis postings by ``searchsorted``; each pair adds
-    the smaller count to its cell by ``bincount``. A block of evidence
-    rows (at most ``_PAIR_CHUNK`` pairs plus cells, or one row) fills only
-    its own rows, so with ``jobs`` > 1 blocks run on a thread pool.
-    Integer sums in float64 are exact.
+    :func:`_ngram_postings` builds them. A gram is heavy when the pairs of
+    postings it joins, fan_ev * fan_hyp, are at least the ``height +
+    width`` cells of a dense column. The heavy grams are added at once by a
+    float64 product of level columns (:func:`_level_entries`). For each
+    light gram, each evidence posting finds its gram's run of hypothesis
+    postings by ``searchsorted``, and each pair adds the smaller count to
+    its cell by ``bincount``. A block of evidence rows (at most
+    ``_PAIR_CHUNK`` light pairs plus cells, or one row) fills only its own
+    rows with both parts, so with ``jobs`` > 1 blocks run on a thread pool.
+    Every term is an integer, so the float64 sums are exact in any order.
     """
-    ev_gram, ev_row, ev_count = ev
-    by_gram = np.argsort(hyp[0], kind="stable")
-    hyp_gram, hyp_row, hyp_count = (a[by_gram] for a in hyp)
+    grams = 1 + int(max(ev[0].max(initial=-1), hyp[0].max(initial=-1)))
+    heavy = (np.bincount(ev[0], minlength=grams) * np.bincount(hyp[0], minlength=grams)
+             >= height + width)
+    ev_heavy, hyp_heavy = heavy[ev[0]], heavy[hyp[0]]
+    (level_ev, level_hyp), steps = _level_entries(
+        tuple(a[ev_heavy] for a in ev), tuple(a[hyp_heavy] for a in hyp), grams)
+
+    ev_gram, ev_row, ev_count = (a[~ev_heavy] for a in ev)
+    hyp_light = tuple(a[~hyp_heavy] for a in hyp)
+    by_gram = np.argsort(hyp_light[0], kind="stable")
+    hyp_gram, hyp_row, hyp_count = (a[by_gram] for a in hyp_light)
     run_start = np.searchsorted(hyp_gram, ev_gram, side="left")
     fan = np.searchsorted(hyp_gram, ev_gram, side="right") - run_start
     pairs_before = np.concatenate(([0], np.cumsum(fan)))
@@ -221,6 +272,19 @@ def _clipped_matches(ev: _Postings, hyp: _Postings, height: int, width: int,
     step = max(1, _PAIR_CHUNK // (width + int(np.diff(pairs_before[row_start]).max(initial=1))))
     out = np.empty(height * width, dtype=np.float64)
 
+    # The level columns go in spans whose two dense factors, a block's rows
+    # and all hypothesis rows, hold at most _PAIR_CHUNK entries. Evidence
+    # entries sorted by (span, row) make each span of a row block a slice.
+    span = max(1, _PAIR_CHUNK // (step + width))
+    spans = range(0, len(steps), span)
+    key = level_ev[1] // span * height + level_ev[0]
+    by_key = np.argsort(key, kind="stable")
+    key, level_row, level_col = key[by_key], level_ev[0][by_key], level_ev[1][by_key]
+    level_step = steps[level_col]
+    by_col = np.argsort(level_hyp[1], kind="stable")
+    level_cell = (level_hyp[1] * width + level_hyp[0])[by_col]
+    span_start = np.searchsorted(level_hyp[1][by_col], [*spans, len(steps)])
+
     def join(first: int) -> None:
         stop = min(first + step, height)
         lo, hi = row_start[first], row_start[stop]
@@ -228,6 +292,18 @@ def _clipped_matches(ev: _Postings, hyp: _Postings, height: int, width: int,
         cells = np.repeat((ev_row[lo:hi] - first) * width, fan[lo:hi]) + hyp_row[hyp_at]
         matches = np.minimum(np.repeat(ev_count[lo:hi], fan[lo:hi]), hyp_count[hyp_at])
         out[first * width:stop * width] = np.bincount(cells, matches, (stop - first) * width)
+        block = out[first * width:stop * width].reshape(stop - first, width)
+        for k, col in enumerate(spans):
+            start, end = np.searchsorted(key, (k * height + first, k * height + stop))
+            if start == end:
+                continue
+            cols = min(span, len(steps) - col)
+            a = np.zeros((stop - first) * cols)
+            rows = level_row[start:end] - first
+            a[rows * cols + level_col[start:end] - col] = level_step[start:end]
+            b = np.zeros(cols * width)
+            b[level_cell[span_start[k]:span_start[k + 1]] - col * width] = 1.0
+            block += np.matmul(a.reshape(-1, cols), b.reshape(cols, width))
 
     blocks = range(0, height, step)
     if jobs < 2 or len(blocks) < 2:

@@ -63,6 +63,7 @@ def _normalize_log(log_w: np.ndarray) -> np.ndarray:
     w = np.exp(log_w - peak)
     return w / np.sum(w)
 
+
 def _ess(weights: np.ndarray) -> float:
     raw = 1.0 / float(np.sum(weights**2))
     return min(max(raw, 1.0), float(len(weights)))
@@ -105,7 +106,9 @@ def compute_weights(inst: Instance, spec: WeightSpec, gain_spec: GainSpec) -> We
     duplicates in the evidence multiset keep their own per-sample weight.
     The length kinds take token counts from
     :func:`mbrkit.metrics.distinct_tokens`, so each distinct
-    ``(text, tokens)`` candidate is tokenized once, as in the gain matrix.
+    ``(text, tokens)`` candidate is tokenized once, as in the gain matrix,
+    and call :func:`corrected_score` once per distinct bit-exact
+    ``(score, length)`` pair, in order of each pair's first sample.
     """
     n = len(inst.evidence)
     if spec.kind == "uniform":
@@ -119,11 +122,20 @@ def compute_weights(inst: Instance, spec: WeightSpec, gain_spec: GainSpec) -> We
             log_unnorm = scores * (1.0 / spec.tau - 1.0)
         else:
             seqs, inverse = distinct_tokens(inst.evidence, gain_spec)
-            lengths = np.array([len(t) for t in seqs], dtype=np.intp)[inverse].tolist()
-            corrected = np.array(
-                [corrected_score(s, t, spec) for s, t in zip(scores, lengths)]
-            )
-            log_unnorm = corrected - scores
+            lengths = np.array([len(t) for t in seqs], dtype=np.int64)[inverse]
+            # One key per bit-exact (score, length) pair. Calls go in order of
+            # each key's first sample, so the first zero-length sample raises.
+            # Every sort here is stable (return_index), as in the gain matrix:
+            # numpy's default argsort adds about 0.3 MB to a fresh process.
+            bits = scores.view(np.int64)
+            score_ids = np.unique(bits, return_index=True, return_inverse=True)[2]
+            keys = score_ids * (int(lengths.max(initial=0)) + 1) + lengths
+            _, firsts, key_inverse = np.unique(keys, return_index=True, return_inverse=True)
+            corrected = np.empty(len(firsts))
+            for k in np.argsort(firsts, kind="stable").tolist():
+                i = int(firsts[k])
+                corrected[k] = corrected_score(scores[i], int(lengths[i]), spec)
+            log_unnorm = corrected[key_inverse] - scores
         if np.any(np.isnan(log_unnorm)):
             raise DegenerateWeightsError("NaN in unnormalized log weights")
         weights = _normalize_log(log_unnorm)

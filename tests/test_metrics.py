@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from mbrkit import (
     MissingAnswerError,
     OrderMismatchError,
     WeightSpec,
+    ZeroLengthCandidateError,
     candidate_tokens,
     compute_weights,
     corrected_score,
@@ -31,7 +33,7 @@ from mbrkit import (
     tokenize,
     validate_instance,
 )
-from mbrkit import metrics
+from mbrkit import metrics, weighting
 
 ROUGE1 = GainSpec(kind="rouge_n_kernel", n=1)
 ROUGE2 = GainSpec(kind="rouge_n_kernel", n=2)
@@ -42,6 +44,41 @@ SRC = Path(metrics.__file__).resolve().parents[1]
 # Gapped and large repeat counts: x repeated k times, then y repeated k % 4 times.
 GAPPED_EVIDENCE = tuple(("x",) * k + ("y",) * (k % 4) for k in (1, 3, 7, 1000))
 GAPPED_HYPOTHESES = tuple(("x",) * k + ("y",) * (k % 4) for k in (2, 999, 1001))
+
+
+def counted_rows(counts, side, seed):
+    """One shuffled row per column of ``counts`` ({token: per-row counts}),
+    plus a token of the row's own so that the rows are distinct."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for r in range(len(next(iter(counts.values())))):
+        row = [f"{side}{r}"] + [tok for tok, per_row in counts.items() for _ in range(per_row[r])]
+        rows.append(tuple(row[i] for i in rng.permutation(len(row))))
+    return tuple(rows)
+
+
+# Five rows a side, so a gram is heavy when fan_ev * fan_hyp >= 10: "all" is
+# on every row of both sides, "at" is on the line (2 x 5), "under" one below
+# it (3 x 3) and "over" above it (3 x 4). Counts vary, so grams have levels.
+LINE_EVIDENCE = counted_rows({"all": (1, 2, 1, 3, 1), "at": (3, 0, 0, 1, 0),
+                              "under": (0, 2, 1, 0, 3), "over": (1, 0, 2, 1, 0)}, "e", 1)
+LINE_HYPOTHESES = counted_rows({"all": (2, 1, 1, 1, 4), "at": (1, 2, 3, 1, 2),
+                                "under": (1, 0, 2, 1, 0), "over": (0, 1, 1, 2, 3)}, "h", 2)
+# A reduced criterion-09 shape, where every unigram is heavy, and rows that
+# share so few words that every gram is light.
+_shape_rng = np.random.default_rng(14)
+ALL_HEAVY = tuple(tuple(f"w{int(i)}" for i in _shape_rng.integers(0, 20, size=30))
+                  for _ in range(32))
+ALL_LIGHT = tuple(tuple(f"v{int(i)}" for i in _shape_rng.integers(0, 2000, size=8))
+                  for _ in range(24))
+
+
+def heavy_unigrams(evidence, hypotheses):
+    """Unigrams with fan_ev * fan_hyp >= E + H, and all unigrams."""
+    fan_ev = Counter(t for row in set(evidence) for t in set(row))
+    fan_hyp = Counter(t for row in set(hypotheses) for t in set(row))
+    line = len(set(evidence)) + len(set(hypotheses))
+    return {t for t in fan_ev if fan_ev[t] * fan_hyp[t] >= line}, set(fan_ev) | set(fan_hyp)
 
 
 def cand(text, **kwargs):
@@ -70,6 +107,17 @@ def kernel_by_overlap(a_tokens, b_tokens, n):
     if total == 0:
         return 1.0
     return 2.0 * sum((a_grams & b_grams).values()) / total
+
+
+def rouge_by_matches(a_tokens, b_tokens, n):
+    """The kernel from Counter clipped matches, in the matrix's float
+    operations: 1 - (denom - 2 * matches) / denom, 1.0 for two empty sides."""
+    a_grams = Counter(tuple(a_tokens[i:i + n]) for i in range(len(a_tokens) - n + 1))
+    b_grams = Counter(tuple(b_tokens[i:i + n]) for i in range(len(b_tokens) - n + 1))
+    denom = float(sum(a_grams.values()) + sum(b_grams.values()))
+    if denom == 0.0:
+        return 1.0
+    return 1.0 - (denom - 2.0 * sum((a_grams & b_grams).values())) / denom
 
 
 def reference_sentence_bleu(hyp, ref, max_order):
@@ -299,12 +347,15 @@ class TestSentenceBleu:
         )
         pool = edges + tuple(random_tokens(rng, vocab_size=8, max_len=12) for _ in range(40))
         gapped = GAPPED_EVIDENCE + GAPPED_HYPOTHESES
-        for seqs in (pool, gapped):
-            inst = token_instance(seqs, seqs)
+        # Both sides of the heavy-gram line, every gram heavy, every gram light.
+        sides = [(pool, pool), (gapped, gapped), (LINE_EVIDENCE, LINE_HYPOTHESES),
+                 (ALL_HEAVY, ALL_HEAVY), (ALL_LIGHT, ALL_LIGHT)]
+        for evidence, hypotheses in sides:
+            inst = token_instance(evidence, hypotheses)
             for order in range(1, 5):
                 spec = GainSpec(kind="sentence_bleu", max_order=order)
-                want = np.array([[reference_sentence_bleu(hyp, ref, order) for hyp in seqs]
-                                 for ref in seqs])
+                want = np.array([[reference_sentence_bleu(hyp, ref, order) for hyp in hypotheses]
+                                 for ref in evidence])
                 for chunk in (1, 19, metrics._PAIR_CHUNK):
                     with monkeypatch.context() as patch:
                         patch.setattr(metrics, "_PAIR_CHUNK", chunk)
@@ -398,31 +449,85 @@ class TestGainMatrix:
 
     def test_jobs_do_not_change_values(self, monkeypatch):
         rng = np.random.default_rng(9)
-        evidence = tuple(token_cand(random_tokens(rng, vocab_size=6, max_len=20))
-                         for _ in range(60))
-        instances = (Instance(id="t", evidence=evidence),
-                     token_instance(GAPPED_EVIDENCE, GAPPED_HYPOTHESES))
-        pools = []
+        random_rows = tuple(random_tokens(rng, vocab_size=6, max_len=20) for _ in range(60))
+        line_heavy, _ = heavy_unigrams(LINE_EVIDENCE, LINE_HYPOTHESES)
+        assert line_heavy == {"all", "at", "over"}
+        heavy, grams = heavy_unigrams(ALL_HEAVY, ALL_HEAVY)
+        assert heavy == grams
+        assert heavy_unigrams(ALL_LIGHT, ALL_LIGHT)[0] == set()
+        sides = ((random_rows, random_rows), (GAPPED_EVIDENCE, GAPPED_HYPOTHESES),
+                 (LINE_EVIDENCE, LINE_HYPOTHESES), (ALL_HEAVY, ALL_HEAVY),
+                 (ALL_LIGHT, ALL_LIGHT))
+        pools, all_pools, product_threads = [], [], []
 
         class RecordingPool(metrics.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
+        matmul = np.matmul
+
+        def recording_matmul(*args, **kwargs):
+            product_threads.append(threading.get_ident())
+            return matmul(*args, **kwargs)
+
         monkeypatch.setattr(metrics, "ThreadPoolExecutor", RecordingPool)
-        for inst in instances:
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        for evidence, hypotheses in sides:
+            inst = token_instance(evidence, hypotheses)
             for spec in (ROUGE1, ROUGE2, BLEU4):
                 sequential = gain_matrix(inst, spec, jobs=1)
+                if spec.kind == "rouge_n_kernel":
+                    want = [[rouge_by_matches(ev, hyp, spec.n) for hyp in hypotheses]
+                            for ev in evidence]
+                else:
+                    want = [[reference_sentence_bleu(hyp, ev, 4) for hyp in hypotheses]
+                            for ev in evidence]
+                assert sequential.tolist() == want, spec
                 # One row per block, a small odd budget, and the default.
                 for chunk in (1, 19, metrics._PAIR_CHUNK):
                     with monkeypatch.context() as patch:
                         patch.setattr(metrics, "_PAIR_CHUNK", chunk)
                         for jobs in (1, 2, 3, 8):
+                            pools.clear()
+                            product_threads.clear()
                             got = gain_matrix(inst, spec, jobs=jobs)
                             assert got.tobytes() == sequential.tobytes(), (spec, chunk, jobs)
+                            all_pools.extend(pools)
+                            if evidence is ALL_HEAVY and spec == ROUGE1 and chunk == 19:
+                                # Every gram is heavy, so the level products
+                                # are all the work, and jobs > 1 runs them
+                                # on a pool of at least two threads.
+                                assert product_threads, jobs
+                                main = {threading.get_ident()}
+                                if jobs == 1:
+                                    assert not pools and set(product_threads) == main
+                                else:
+                                    assert pools and min(pools) >= 2
+                                    assert not set(product_threads) & main
         # Small budgets split the instances into blocks that jobs > 1 runs on
         # a real pool of up to ``jobs`` threads.
-        assert pools and min(pools) >= 2 and max(pools) == 8
+        assert all_pools and min(all_pools) >= 2 and max(all_pools) == 8
+
+    def test_unique_always_sorts(self, monkeypatch):
+        # Without a return flag, np.unique takes numpy's hash path, whose
+        # first call in a process costs milliseconds and about 1 MB of RSS.
+        flags = ("return_index", "return_inverse", "return_counts")
+        unique = np.unique
+        calls = []
+
+        def guarded(ar, *args, **kwargs):
+            asked = {**dict(zip(flags, args)), **kwargs}
+            assert any(asked.get(flag) for flag in flags), "np.unique without a return flag"
+            calls.append(1)
+            return unique(ar, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", guarded)
+        for evidence, hypotheses in ((ALL_HEAVY, ALL_HEAVY), (LINE_EVIDENCE, LINE_HYPOTHESES),
+                                     (GAPPED_EVIDENCE, GAPPED_HYPOTHESES)):
+            for spec in (ROUGE1, ROUGE2, BLEU4):
+                gain_matrix(token_instance(evidence, hypotheses), spec)
+        assert calls
 
     def test_zero_postings_edges(self):
         empty = ((), ())
@@ -547,23 +652,51 @@ class TestMultisetCompression:
             assert gain_matrix(as_lists, spec).tobytes() == want.tobytes()
             assert want[0, 2] == want[2, 0] == 1.0
 
-    def test_length_weights_equal_per_sample_lengths(self):
+    def test_length_weights_equal_per_sample_lengths(self, monkeypatch):
         rng = np.random.default_rng(63)
         pool = tuple(c for c in DUPLICATE_POOL if c.text and c.tokens != ())
-        evidence = tuple(Candidate(text=c.text, tokens=c.tokens, score=float(s))
-                         for c, s in zip(draw_candidates(rng, 64, pool),
-                                         rng.normal(-10.0, 3.0, size=64)))
+        # Scores repeat, and 0.0 and -0.0 are equal but not the same bits.
+        score_pool = (-10.5, -3.25, -7.0, 0.0, -0.0, -1e-300)
+        evidence = tuple(Candidate(text=c.text, tokens=c.tokens, score=score_pool[k])
+                         for c, k in zip(draw_candidates(rng, 64, pool),
+                                         rng.integers(0, len(score_pool), size=64)))
         inst = Instance(id="t", evidence=evidence)
         scores = [c.score for c in evidence]
+        calls = []
+
+        def counted(score, length, spec):
+            calls.append((score, length))
+            return corrected_score(score, length, spec)
+
+        monkeypatch.setattr(weighting, "corrected_score", counted)
         for wspec in (WeightSpec(kind="length_norm", beta=1.0),
+                      WeightSpec(kind="length_norm", beta=-0.5),
                       WeightSpec(kind="length_reward", gamma=0.5)):
             for gspec in (ROUGE1, GainSpec(lowercase=False, tokenizer="unicode_word")):
                 lengths = [len(candidate_tokens(c, gspec)) for c in evidence]
-                log_w = np.array([corrected_score(s, n, wspec)
-                                  for s, n in zip(scores, lengths)]) - np.array(scores)
+                corrected = [corrected_score(s, n, wspec) for s, n in zip(scores, lengths)]
+                log_w = np.array(corrected) - np.array(scores)
                 w = np.exp(log_w - np.max(log_w))
                 w = w / np.sum(w)
-                assert compute_weights(inst, wspec, gspec).weights.tobytes() == w.tobytes()
+                calls.clear()
+                got = compute_weights(inst, wspec, gspec)
+                assert got.weights.tobytes() == w.tobytes()
+                assert got.log_unnormalized.tobytes() == log_w.tobytes()
+                # One call per distinct bit-exact (score, length) pair.
+                pairs = {(np.float64(s).tobytes(), n) for s, n in zip(scores, lengths)}
+                assert len(calls) == len(pairs) < len(evidence)
+        # The first zero-length sample raises, as in a per-sample loop.
+        empty = Candidate(text="", tokens=(), score=-7.0)
+        for wspec in (WeightSpec(kind="length_norm", beta=1.0),
+                      WeightSpec(kind="length_reward", gamma=0.5)):
+            calls.clear()
+            with pytest.raises(ZeroLengthCandidateError):
+                compute_weights(Instance(id="t", evidence=evidence[:5] + (empty,) * 2
+                                         + evidence), wspec, ROUGE1)
+            assert calls[-1] == (-7.0, 0)
+            assert len(calls) == len({(np.float64(c.score).tobytes(),
+                                       len(candidate_tokens(c, ROUGE1)))
+                                      for c in evidence[:5]}) + 1
 
     def test_counting_runs_once_per_distinct_candidate(self, monkeypatch):
         texts = ("the cat sat", "a dog ran off", "the cat sat on the mat")
