@@ -14,7 +14,8 @@ import argparse
 import multiprocessing as mp
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import repeat
@@ -234,7 +235,7 @@ def _matrix_record(inst: Instance, config: RunConfig, echo: RawJson) -> dict:
         raise MbrError(f"instance {inst.id!r}: {exc}") from exc
     return {
         "id": inst.id,
-        "gain_matrix": [[float(v) for v in row] for row in matrix],
+        "gain_matrix": matrix.tolist(),
         "config_echo": echo,
     }
 
@@ -260,9 +261,37 @@ def _process_line(numbered: tuple[int, str], config: RunConfig,
         return False, f"line {line_no}: {type(exc).__name__}: {exc}"
 
 
+#: Lines in flight per worker process with ``--jobs`` > 1: the parent
+#: reads at most ``_WINDOW_PER_JOB * jobs`` lines past the last line it
+#: has written.
+_WINDOW_PER_JOB = 4
+
+
+def _windowed_map(pool: Executor, fn, items, window: int, *args):
+    """``fn(item, *args)`` for each item on ``pool``, yielded in order.
+
+    Unlike ``Executor.map``, which submits every item before it yields
+    the first result, at most ``window`` tasks are submitted and not yet
+    yielded, so the parent holds a bounded part of the batch.
+    """
+    pending: deque = deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(fn, item, *args))
+            if len(pending) == window:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def _run_batch(config: RunConfig, record_fn, echo: dict) -> int:
     """Stream the input through ``_process_line``, writing each outcome in
     input order as it arrives; results go to the output, errors to stderr.
+    With ``jobs`` > 1 the lines go to worker processes through a window
+    of ``_WINDOW_PER_JOB * jobs`` lines (:func:`_windowed_map`).
 
     ``echo`` is the same on every line, so it is serialized once here.
     """
@@ -282,14 +311,17 @@ def _run_batch(config: RunConfig, record_fn, echo: dict) -> int:
             sink = sys.stdout.buffer
         else:
             sink = stack.enter_context(open(config.output, "wb"))
-        mapper = map
+        lines = iter_lines(source)
         if config.jobs > 1:
             methods = mp.get_all_start_methods()
             ctx = mp.get_context("fork" if "fork" in methods else methods[0])
-            pool = ProcessPoolExecutor(max_workers=config.jobs, mp_context=ctx)
-            mapper = stack.enter_context(pool).map
-        for ok, text in mapper(_process_line, iter_lines(source), repeat(config),
-                               repeat(record_fn), repeat(echo)):
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.jobs,
+                                                           mp_context=ctx))
+            outcomes = _windowed_map(pool, _process_line, lines, _WINDOW_PER_JOB * config.jobs,
+                                     config, record_fn, echo)
+        else:
+            outcomes = map(_process_line, lines, repeat(config), repeat(record_fn), repeat(echo))
+        for ok, text in outcomes:
             if ok:
                 sink.write(text)
                 if flush_lines:

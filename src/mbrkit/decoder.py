@@ -112,8 +112,8 @@ def _decode_validated(
     return DecodeResult(
         selected_index=index,
         selected_text=inst.hypotheses[index].text,
-        gain_estimates=tuple(float(g) for g in gains),
-        weights=tuple(float(w) for w in wv.weights),
+        gain_estimates=tuple(gains.tolist()),
+        weights=tuple(wv.weights.tolist()),
         tie_broken=tie_broken,
         ess=wv.ess,
     )

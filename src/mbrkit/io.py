@@ -4,12 +4,18 @@ One JSON object per line, UTF-8, LF endings. Serialization is done by a
 small fixed-order emitter rather than :func:`json.dumps` so that float
 formatting (17 significant digits) and key order are pinned down; output
 bytes must be reproducible across runs, platforms, and worker counts.
+The emitter dispatches on a value's exact type first and falls back to
+an ``isinstance`` chain for subclasses. Strings and keys are escaped by
+``json.encoder.encode_basestring``, the function ``json.dumps`` itself
+uses with ``ensure_ascii=False``, and an array of plain floats is joined
+in one pass. Parsing builds a field's location only for its error.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring
 from typing import IO, Iterable, Iterator
 
 from .errors import ParseError, SchemaError
@@ -32,6 +38,50 @@ class RawJson(str):
     once and spliced into many records."""
 
 
+_FLOAT_ONLY = frozenset((float,))
+
+
+def _dumps_dict(value: dict) -> str:
+    return "{" + ",".join([encode_basestring(k if type(k) is str else str(k)) + ":" + dumps(v)
+                           for k, v in value.items()]) + "}"
+
+
+def _dumps_array(value) -> str:
+    if _FLOAT_ONLY.issuperset(map(type, value)):
+        return "[" + ",".join(map(format_float, value)) + "]"
+    return "[" + ",".join(map(dumps, value)) + "]"
+
+
+def _dumps_subclass(value) -> str:
+    # bool and NoneType cannot be subclassed, so neither reaches here.
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if isinstance(value, dict):
+        return _dumps_dict(value)
+    if isinstance(value, (list, tuple)):
+        return _dumps_array(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+# Exact types; a subclass (np.float64, a str or dict subclass) takes the
+# isinstance chain, and RawJson is emitted unchanged.
+_DUMPS_BY_TYPE = {
+    type(None): lambda value: "null",
+    bool: lambda value: "true" if value else "false",
+    int: int.__repr__,
+    float: format_float,
+    str: encode_basestring,
+    RawJson: str.__str__,
+    dict: _dumps_dict,
+    list: _dumps_array,
+    tuple: _dumps_array,
+}
+
+
 def dumps(value) -> str:
     """Compact JSON text with deterministic key order and float format.
 
@@ -39,62 +89,51 @@ def dumps(value) -> str:
     a :class:`RawJson` is emitted unchanged; everything else matches
     standard JSON.
     """
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, str):
-        if type(value) is RawJson:
-            return value
-        return json.dumps(value, ensure_ascii=False)
-    if isinstance(value, dict):
-        items = ",".join(f"{json.dumps(str(k), ensure_ascii=False)}:{dumps(v)}" for k, v in value.items())
-        return "{" + items + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(dumps(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    encode = _DUMPS_BY_TYPE.get(type(value))
+    if encode is None:
+        return _dumps_subclass(value)
+    return encode(value)
 
 
-def _parse_number(value, line: int, where: str) -> float:
+def _parse_number(value, line: int, where: str, *index) -> float:
+    """``value`` as a float; its location is ``where.format(*index)``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(line, where, "must be a number")
+        raise SchemaError(line, where.format(*index), "must be a number")
     try:
         return float(value)
     except OverflowError:
-        raise SchemaError(line, where, "number out of range") from None
+        raise SchemaError(line, where.format(*index), "number out of range") from None
 
 
-def _parse_candidate(obj, line: int, where: str) -> Candidate:
-    if not isinstance(obj, dict):
-        raise SchemaError(line, where, "candidate must be an object")
-    text = obj.get("text")
-    if not isinstance(text, str):
-        raise SchemaError(line, f"{where}.text", "required and must be a string")
-    tokens = obj.get("tokens")
-    if tokens is not None:
-        if not isinstance(tokens, list) or any(not isinstance(t, str) for t in tokens):
-            raise SchemaError(line, f"{where}.tokens", "must be an array of strings")
-        tokens = tuple(tokens)
-    score = obj.get("score")
-    if score is not None:
-        score = _parse_number(score, line, f"{where}.score")
-    answer = obj.get("answer")
-    if answer is not None and not isinstance(answer, str):
-        raise SchemaError(line, f"{where}.answer", "must be a string")
-    model_id = obj.get("model_id")
-    if model_id is not None and not isinstance(model_id, str):
-        raise SchemaError(line, f"{where}.model_id", "must be a string")
-    return Candidate(text=text, tokens=tokens, score=score, answer=answer, model_id=model_id)
-
-
-def _parse_candidates(value, line: int, where: str) -> tuple[Candidate, ...]:
+def _parse_candidates(value, line: int, side: str) -> tuple[Candidate, ...]:
+    """The candidates of ``side``; a field's location, such as
+    ``evidence[3].score``, is built only when it is reported."""
     if not isinstance(value, list):
-        raise SchemaError(line, where, "must be an array of candidate objects")
-    return tuple(_parse_candidate(obj, line, f"{where}[{i}]") for i, obj in enumerate(value))
+        raise SchemaError(line, side, "must be an array of candidate objects")
+    parsed = []
+    for i, obj in enumerate(value):
+        if not isinstance(obj, dict):
+            raise SchemaError(line, f"{side}[{i}]", "candidate must be an object")
+        text = obj.get("text")
+        if not isinstance(text, str):
+            raise SchemaError(line, f"{side}[{i}].text", "required and must be a string")
+        tokens = obj.get("tokens")
+        if tokens is not None:
+            if not isinstance(tokens, list) or any(not isinstance(t, str) for t in tokens):
+                raise SchemaError(line, f"{side}[{i}].tokens", "must be an array of strings")
+            tokens = tuple(tokens)
+        score = obj.get("score")
+        if score is not None:
+            score = _parse_number(score, line, "{}[{}].score", side, i)
+        answer = obj.get("answer")
+        if answer is not None and not isinstance(answer, str):
+            raise SchemaError(line, f"{side}[{i}].answer", "must be a string")
+        model_id = obj.get("model_id")
+        if model_id is not None and not isinstance(model_id, str):
+            raise SchemaError(line, f"{side}[{i}].model_id", "must be a string")
+        # Positional, in field order: cheaper than keywords on the hot path.
+        parsed.append(Candidate(text, tokens, score, answer, model_id))
+    return tuple(parsed)
 
 
 def parse_instance_line(raw: str, line: int) -> Instance:
@@ -121,16 +160,15 @@ def parse_instance_line(raw: str, line: int) -> Instance:
     if "evidence" not in obj:
         raise SchemaError(line, "evidence", "required and must be an array")
     evidence = _parse_candidates(obj["evidence"], line, "evidence")
-    hypotheses = None
-    if obj.get("hypotheses") is not None:
-        hypotheses = _parse_candidates(obj["hypotheses"], line, "hypotheses")
-    external = None
-    if obj.get("external_gain") is not None:
-        rows = obj["external_gain"]
+    hypotheses = obj.get("hypotheses")
+    if hypotheses is not None:
+        hypotheses = _parse_candidates(hypotheses, line, "hypotheses")
+    external = rows = obj.get("external_gain")
+    if rows is not None:
         if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
             raise SchemaError(line, "external_gain", "must be an array of arrays of numbers")
         external = tuple(
-            tuple(_parse_number(v, line, f"external_gain[{i}][{j}]") for j, v in enumerate(row))
+            tuple(_parse_number(v, line, "external_gain[{}][{}]", i, j) for j, v in enumerate(row))
             for i, row in enumerate(rows)
         )
     return Instance(id=inst_id, evidence=evidence, hypotheses=hypotheses, external_gain=external)

@@ -69,25 +69,6 @@ def candidate_tokens(c: Candidate, spec: GainSpec) -> tuple[str, ...]:
     return tuple(tokenize(c.text, spec))
 
 
-def _distinct(cands, key) -> tuple[list[int], np.ndarray]:
-    """Index of the first candidate with each distinct ``key(c)``, in
-    order, and for every candidate the position of its key in that list."""
-    ids: dict = {}
-    firsts: list[int] = []
-    inverse: list[int] = []
-    for i, c in enumerate(cands):
-        j = ids.setdefault(key(c), len(ids))
-        if j == len(firsts):
-            firsts.append(i)
-        inverse.append(j)
-    return firsts, np.array(inverse, dtype=np.intp)
-
-
-def _raw_key(c: Candidate) -> tuple:
-    # An unvalidated candidate may carry its tokens as a list.
-    return c.text, c.tokens if c.tokens is None else tuple(c.tokens)
-
-
 def distinct_tokens(cands, spec: GainSpec) -> tuple[list[tuple[str, ...]], np.ndarray]:
     """Token sequences of the distinct candidates and each candidate's
     index among them.
@@ -96,17 +77,26 @@ def distinct_tokens(cands, spec: GainSpec) -> tuple[list[tuple[str, ...]], np.nd
     determines the token sequence, so :func:`candidate_tokens` runs once
     per distinct pair; ``seqs[inverse[i]]`` is candidate ``i``'s sequence.
     """
-    firsts, inverse = _distinct(cands, _raw_key)
-    return [candidate_tokens(cands[i], spec) for i in firsts], inverse
+    ids: dict = {}
+    seqs: list[tuple[str, ...]] = []
+    inverse: list[int] = []
+    for c in cands:
+        # An unvalidated candidate may carry its tokens as a list.
+        j = ids.setdefault((c.text, c.tokens if c.tokens is None else tuple(c.tokens)), len(ids))
+        if j == len(seqs):
+            seqs.append(candidate_tokens(c, spec))
+        inverse.append(j)
+    return seqs, np.array(inverse, dtype=np.intp)
 
 
-def _distinct_answers(cands, side: str) -> tuple[list[str], np.ndarray]:
-    """Stripped answers of the distinct raw answers, as :func:`distinct_tokens`."""
-    firsts, inverse = _distinct(cands, lambda c: c.answer)
-    for i in firsts:
-        if cands[i].answer is None:
-            raise MissingAnswerError(f"{side}[{i}] has no extracted answer")
-    return [cands[i].answer.strip() for i in firsts], inverse
+def _answer_ids(cands, side: str, ids: dict) -> np.ndarray:
+    """Each candidate's stripped answer as its id in ``ids``, which gives
+    new answers the next id; raises MissingAnswerError at the first
+    candidate without an answer."""
+    answers = [c.answer for c in cands]
+    if None in answers:
+        raise MissingAnswerError(f"{side}[{answers.index(None)}] has no extracted answer")
+    return np.array([ids.setdefault(a.strip(), len(ids)) for a in answers])
 
 
 @dataclass(frozen=True)
@@ -182,8 +172,11 @@ def _ngram_postings(ev_seqs: list, hyp_seqs: list,
     Tokens get ids in one dict pass over both sides; the id of the n-gram
     at a position is that of its (n-1)-gram paired with the next token,
     made dense by ``np.unique``, so equal grams share an id on both sides.
+    When ``hyp_seqs`` is ``ev_seqs`` the postings are built over that one
+    list and serve as both sides.
     """
-    seqs = ev_seqs + hyp_seqs
+    shared = hyp_seqs is ev_seqs
+    seqs = ev_seqs if shared else ev_seqs + hyp_seqs
     vocab: dict = {}
     lens = np.fromiter(map(len, seqs), np.int64, len(seqs))
     tokens = np.fromiter((vocab.setdefault(t, len(vocab)) for seq in seqs for t in seq),
@@ -200,6 +193,9 @@ def _ngram_postings(ev_seqs: list, hyp_seqs: list,
             distinct = len(distinct_pairs)
         keys, counts = np.unique(row_of[starts] * distinct + grams, return_counts=True)
         rows, gram_ids = np.divmod(keys, max(distinct, 1))
+        if shared:
+            yield (gram_ids, rows, counts), (gram_ids, rows, counts)
+            continue
         split = np.searchsorted(rows, len(ev_seqs))
         yield ((gram_ids[:split], rows[:split], counts[:split]),
                (gram_ids[split:], rows[split:] - len(ev_seqs), counts[split:]))
@@ -371,19 +367,20 @@ def _bleu_finish(ref_lens: np.ndarray, hyp_lens: np.ndarray, correct: list[np.nd
 
 
 def _distinct_gains(ev_keys: list, hyp_keys: list, spec: GainSpec, jobs: int) -> np.ndarray:
-    """Gains of every pair of distinct keys: token sequences, or stripped
-    answers for ``answer_match``."""
-    if spec.kind in ("exact_match", "answer_match"):
+    """Gains of every pair of distinct token sequences; when ``hyp_keys``
+    is ``ev_keys``, each sequence is interned and counted once."""
+    shared = hyp_keys is ev_keys
+    if spec.kind == "exact_match":
         ids: dict = {}
         ev_ids = np.array([ids.setdefault(k, len(ids)) for k in ev_keys])
-        hyp_ids = np.array([ids.setdefault(k, len(ids)) for k in hyp_keys])
+        hyp_ids = ev_ids if shared else np.array([ids.setdefault(k, len(ids)) for k in hyp_keys])
         return np.equal.outer(ev_ids, hyp_ids).astype(np.float64)
 
     if spec.kind not in ("rouge_n_kernel", "sentence_bleu"):
         raise MbrError(f"unsupported gain kind {spec.kind!r}")
     height, width = len(ev_keys), len(hyp_keys)
     ev_lens = np.fromiter(map(len, ev_keys), np.int64, height)
-    hyp_lens = np.fromiter(map(len, hyp_keys), np.int64, width)
+    hyp_lens = ev_lens if shared else np.fromiter(map(len, hyp_keys), np.int64, width)
     order = spec.n if spec.kind == "rouge_n_kernel" else spec.max_order
     postings = _ngram_postings(ev_keys, hyp_keys, order)
 
@@ -409,21 +406,23 @@ def gain_matrix(inst: Instance, spec: GainSpec, jobs: int = 1) -> np.ndarray:
 
     ``exact_match`` is 1.0 iff the normalized token sequences are equal,
     ``answer_match`` iff the extracted answers agree after trimming
-    whitespace; both compare interned keys. Each side is interned first,
-    on the raw ``(text, tokens)`` pair (the raw answer for
-    ``answer_match``): tokenization, n-gram counting and the gain itself
-    run once per distinct ``(text, tokens)`` candidate, never per sample
-    or per pair, and the distinct table is gathered back to one row per
-    evidence sample and one column per hypothesis. Every cell is a
-    function of its pair's keys alone, so the result equals the
-    per-sample table bit for bit. For the n-gram gains,
-    ``rouge_n_kernel`` and ``sentence_bleu``, the postings of both sides
-    are built in one call of :func:`_ngram_postings`, and ``jobs`` > 1
-    runs the row blocks of the clipped-match join on a thread pool; its
-    sums are exact integers, so the result does not depend on ``jobs``.
-    BLEU's finish is array arithmetic with libm's ``log`` and ``exp``,
-    bit for bit the scalar formula. The match and external gains ignore
-    ``jobs``.
+    whitespace. Answer match gives every sample's stripped answer an id
+    and compares the ids of all pairs at once. The other gains intern
+    each side first, on the raw ``(text, tokens)`` pair: tokenization,
+    n-gram counting and the gain itself run once per distinct candidate,
+    never per sample or per pair, and the distinct table is gathered back
+    to one row per evidence sample and one column per hypothesis. Every
+    cell is a function of its pair's keys alone, so the result equals the
+    per-sample table bit for bit. When the hypotheses are the evidence
+    (absent, or the same tuple, as :func:`mbrkit.types.validate_instance`
+    leaves them), one side's interning, answer ids and postings serve
+    both sides. For the n-gram gains, ``rouge_n_kernel`` and
+    ``sentence_bleu``, the postings of both sides are built in one call
+    of :func:`_ngram_postings`, and ``jobs`` > 1 runs the row blocks of
+    the clipped-match join on a thread pool; its sums are exact integers,
+    so the result does not depend on ``jobs``. BLEU's finish is array
+    arithmetic with libm's ``log`` and ``exp``, bit for bit the scalar
+    formula. The match and external gains ignore ``jobs``.
     ``kind='external'`` returns the instance's precomputed matrix as-is.
     """
     hyps = inst.hypotheses if inst.hypotheses is not None else inst.evidence
@@ -434,12 +433,15 @@ def gain_matrix(inst: Instance, spec: GainSpec, jobs: int = 1) -> np.ndarray:
             )
         return np.asarray(inst.external_gain, dtype=np.float64)
 
+    shared = hyps is inst.evidence
     if spec.kind == "answer_match":
-        ev_keys, ev_inv = _distinct_answers(inst.evidence, "evidence")
-        hyp_keys, hyp_inv = _distinct_answers(hyps, "hypotheses")
-    else:
-        ev_keys, ev_inv = distinct_tokens(inst.evidence, spec)
-        hyp_keys, hyp_inv = distinct_tokens(hyps, spec)
+        ids: dict = {}
+        ev_ids = _answer_ids(inst.evidence, "evidence", ids)
+        hyp_ids = ev_ids if shared else _answer_ids(hyps, "hypotheses", ids)
+        return np.equal.outer(ev_ids, hyp_ids).astype(np.float64)
+
+    ev_keys, ev_inv = distinct_tokens(inst.evidence, spec)
+    hyp_keys, hyp_inv = (ev_keys, ev_inv) if shared else distinct_tokens(hyps, spec)
     table = _distinct_gains(ev_keys, hyp_keys, spec, jobs)
     # A side without duplicates is already in sample order. Columns go
     # first: the row take then copies whole rows.

@@ -220,7 +220,8 @@ def validate_instance(
         raise EmptyHypothesesError("empty hypothesis set")
 
     _check_finite_scores(evidence, "evidence")
-    _check_finite_scores(hypotheses, "hypotheses")
+    if hypotheses is not evidence:
+        _check_finite_scores(hypotheses, "hypotheses")
 
     external = inst.external_gain
     if external is not None:

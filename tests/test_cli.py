@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ import mbrkit
 from mbrkit import Candidate, Instance, ParseError, SchemaError
 from mbrkit.cli import parse_mixture, run
 from mbrkit.io import (
+    RawJson,
     dumps,
     format_float,
     parse_instance_line,
@@ -50,6 +52,115 @@ class TestSerialization:
     def test_dumps_is_valid_json(self):
         record = {"a": [0.1, 2, "x"], "b": {"c": False}}
         assert json.loads(dumps(record)) == record
+
+
+def reference_dumps(value) -> str:
+    """The recursive emitter that ``dumps`` replaced, kept as its byte
+    reference: an isinstance chain, with strings and keys escaped by
+    ``json.dumps``."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, str):
+        if type(value) is RawJson:
+            return value
+        return json.dumps(value, ensure_ascii=False)
+    if isinstance(value, dict):
+        items = ",".join(f"{json.dumps(str(k), ensure_ascii=False)}:{reference_dumps(v)}"
+                         for k, v in value.items())
+        return "{" + items + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(reference_dumps(v) for v in value) + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+class Label(str):
+    """A str subclass, as a caller's own string type would be. JSON
+    escapes its characters as a value, and ``str()`` of it as a key."""
+
+    def __str__(self):
+        return f"Label({super().__str__()})"
+
+
+FLOAT_LEAVES = (-0.0, 0.0, 5e-324, 1.5e-310, 1e308, -1e308, 2 / 3, 0.1, 1.0, -3.25e-7,
+                123456789.0, 1e16, 1e17)
+STRING_LEAVES = ("", "plain", 'quote " and \\ back', "\x00\x01\x1f\n\t\r\x7f", "\u2028\u2029",
+                 "中文", "\U0001f600 emoji", "\ud800", "x\udcffy", Label("label"), Label("\n\u00e9"))
+OTHER_LEAVES = (0, -1, 7, 10**18, -(2**70), True, False, None, np.float64(2 / 3),
+                np.float64(-0.0), np.float64(1e308), RawJson('{"raw":[1,2.5]}'), RawJson(""))
+
+
+def random_leaf(rng: random.Random):
+    return rng.choice(rng.choice((FLOAT_LEAVES, STRING_LEAVES, OTHER_LEAVES)))
+
+
+def random_value(rng: random.Random, depth: int):
+    """A nested record of the leaves above, lists and tuples of plain
+    floats, and lists of such lists, as the ``matrix`` command emits."""
+    kind = rng.randrange(6) if depth > 0 else 0
+    if kind == 0:
+        return random_leaf(rng)
+    if kind == 1:
+        floats = [rng.choice(FLOAT_LEAVES) for _ in range(rng.randrange(5))]
+        return floats if rng.random() < 0.5 else tuple(floats)
+    if kind == 2:
+        return [[rng.choice(FLOAT_LEAVES) for _ in range(rng.randrange(1, 4))]
+                for _ in range(rng.randrange(4))]
+    if kind == 3:
+        items = [random_value(rng, depth - 1) for _ in range(rng.randrange(4))]
+        return items if rng.random() < 0.5 else tuple(items)
+    keys = STRING_LEAVES + (0, 2.5, None, True)
+    return {rng.choice(keys): random_value(rng, depth - 1) for _ in range(rng.randrange(5))}
+
+
+def outcome(emit, value):
+    """The text ``emit`` gives for ``value``, or the type of what it raises."""
+    try:
+        return emit(value)
+    except Exception as exc:
+        return type(exc)
+
+
+class TestDumpsBytes:
+    def test_random_records_equal_the_reference_bytes(self):
+        rng = random.Random(71)
+        for _ in range(3000):
+            value = random_value(rng, 4)
+            assert isinstance(outcome(reference_dumps, value), str)
+            assert dumps(value) == reference_dumps(value), value
+
+    def test_result_and_matrix_records(self):
+        rng = random.Random(72)
+        echo = RawJson(dumps({"metric": {"kind": "rouge_n_kernel", "n": 1}, "mixture": None}))
+        for _ in range(200):
+            floats = [rng.choice(FLOAT_LEAVES) * rng.random() for _ in range(rng.randrange(1, 9))]
+            records = (
+                {"id": rng.choice(STRING_LEAVES), "selected_index": rng.randrange(8),
+                 "selected_text": rng.choice(STRING_LEAVES), "gain_estimates": floats,
+                 "weights": tuple(floats), "tie_broken": rng.random() < 0.5,
+                 "config_echo": echo},
+                {"id": "m", "gain_matrix": np.array([floats, floats[::-1]]).tolist(),
+                 "config_echo": echo},
+            )
+            for record in records:
+                assert dumps(record) == reference_dumps(record)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan),
+                                     np.int64(3), np.bool_(True), object(), {1, 2}])
+    def test_unserializable_values_raise_as_the_reference(self, bad):
+        rng = random.Random(73)
+        for _ in range(50):
+            value = random_value(rng, 3)
+            for record in ([bad], (0.5, bad), {"x": [0.25, bad]}, [[1.0], [bad]],
+                           {"a": value, "b": {"c": bad}}, bad):
+                want = outcome(reference_dumps, record)
+                assert want in (ValueError, TypeError)
+                assert outcome(dumps, record) is want
 
 
 class TestParsing:
@@ -107,6 +218,40 @@ class TestParsing:
                 '{"id":"1","evidence":[{"text":"a"}],"external_gain":[[%s]]}' % huge, 4
             )
         assert err.value.field == "external_gain[0][0]"
+
+    @pytest.mark.parametrize("evidence, hypotheses, message", [
+        ('[{"text":"a"},{"text":"b"},{"text":"c"},5]', None,
+         "line 9, field 'evidence[3]': candidate must be an object"),
+        ('[{"text":"a"},{"text":7}]', None,
+         "line 9, field 'evidence[1].text': required and must be a string"),
+        ('[{"text":"a"}]', '[{"text":"a"},{"text":"b"},{"text":"c","tokens":["x",1]}]',
+         "line 9, field 'hypotheses[2].tokens': must be an array of strings"),
+        ('[{"text":"a"},{"text":"b"},{"text":"c"},{"text":"d"},{"text":"e","score":%d}]'
+         % 10**400, None, "line 9, field 'evidence[4].score': number out of range"),
+        ('[{"text":"a"},{"text":"b","score":"high"}]', None,
+         "line 9, field 'evidence[1].score': must be a number"),
+        ('[{"text":"a"}]',
+         '[{"text":"a"},{"text":"b"},{"text":"c"},{"text":"d"},{"text":"e"},{"text":"f","answer":3}]',
+         "line 9, field 'hypotheses[5].answer': must be a string"),
+        ('[{"text":"a"},{"text":"b"},{"text":"c"},{"text":"d"},{"text":"e"},{"text":"f"},'
+         '{"text":"g","model_id":["m"]}]', None,
+         "line 9, field 'evidence[6].model_id': must be a string"),
+        ('[{"text":"a"}]', '{"text":"a"}',
+         "line 9, field 'hypotheses': must be an array of candidate objects"),
+    ])
+    def test_error_locations_at_later_indices(self, evidence, hypotheses, message):
+        line = '{"id":"1","evidence":%s%s}' % (
+            evidence, "" if hypotheses is None else ',"hypotheses":%s' % hypotheses)
+        with pytest.raises(SchemaError) as err:
+            parse_instance_line(line, 9)
+        assert str(err.value) == message
+        assert err.value.field == message.split("'")[1]
+
+    def test_external_gain_error_location(self):
+        with pytest.raises(SchemaError) as err:
+            parse_instance_line('{"id":"1","evidence":[{"text":"a"},{"text":"b"}],'
+                                '"external_gain":[[0.5,0.5],[0.5,"x"]]}', 2)
+        assert str(err.value) == "line 2, field 'external_gain[1][1]': must be a number"
 
     def test_deep_nesting_reports_line(self):
         with pytest.raises(ParseError) as err:
@@ -231,20 +376,49 @@ class TestDecodeCommand:
         capsys.readouterr()
 
     def test_jobs_output_identical_and_ordered(self, tmp_path):
+        # More lines than the in-flight window of any job count below.
         rng = np.random.default_rng(53)
         lines = []
-        for k in range(24):
+        for k in range(40):
             texts = [f'{{"text":"{" ".join(rng.choice(["a","b","c"], size=3))}"}}'
                      for _ in range(5)]
             lines.append(f'{{"id":"i{k:02d}","evidence":[{",".join(texts)}]}}')
         inp = self.write_input(tmp_path, lines)
-        out1 = tmp_path / "o1.jsonl"
-        out4 = tmp_path / "o4.jsonl"
-        assert run(["decode", "--input", str(inp), "--output", str(out1)]) == 0
-        assert run(["decode", "--jobs", "4", "--input", str(inp), "--output", str(out4)]) == 0
-        assert out1.read_bytes() == out4.read_bytes()
-        ids = [json.loads(line)["id"] for line in out1.read_text().splitlines()]
-        assert ids == [f"i{k:02d}" for k in range(24)]
+        outputs = {}
+        for jobs in ("1", "2", "4"):
+            out = tmp_path / f"o{jobs}.jsonl"
+            assert run(["decode", "--jobs", jobs, "--input", str(inp), "--output", str(out)]) == 0
+            outputs[jobs] = out.read_bytes()
+        assert outputs["1"] == outputs["2"] == outputs["4"]
+        ids = [json.loads(line)["id"] for line in outputs["1"].decode().splitlines()]
+        assert ids == [f"i{k:02d}" for k in range(40)]
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_jobs_read_at_most_a_window_ahead(self, tmp_path, capsys, monkeypatch, jobs):
+        from mbrkit import cli
+
+        real_lines = cli.iter_lines
+        written = 0
+        leads = []
+
+        def lazy_lines(stream):
+            # Lines are read one at a time, and each read records how far
+            # it is past the last line written.
+            nonlocal written
+            for read, numbered in enumerate(real_lines(stream), start=1):
+                written += capsys.readouterr().out.count("\n")
+                leads.append(read - written)
+                yield numbered
+
+        monkeypatch.setattr(cli, "iter_lines", lazy_lines)
+        lines = [f'{{"id":"{k}","evidence":[{{"text":"a b"}},{{"text":"b"}}]}}' for k in range(50)]
+        inp = self.write_input(tmp_path, lines)
+        assert run(["decode", "--jobs", str(jobs), "--input", str(inp)]) == 0
+        written += capsys.readouterr().out.count("\n")
+        assert written == len(leads) == 50
+        window = cli._WINDOW_PER_JOB * jobs
+        assert window < 50
+        assert max(leads) == window
 
     def run_captured(self, capsys, argv):
         code = run(argv)

@@ -698,6 +698,42 @@ class TestMultisetCompression:
                                        len(candidate_tokens(c, ROUGE1)))
                                       for c in evidence[:5]}) + 1
 
+    SHARED_SPECS = (EXACT, GainSpec(kind="answer_match"), ROUGE1, ROUGE2, BLEU4)
+
+    def test_shared_sides_equal_an_explicit_copy(self):
+        rng = np.random.default_rng(65)
+        answers = ("4", " 4", "4 ", "5", "x", "")
+        evidence = tuple(Candidate(text=c.text, tokens=c.tokens, answer=answers[k])
+                         for c, k in zip(draw_candidates(rng, 48),
+                                         rng.integers(0, len(answers), size=48)))
+        copy = tuple(Candidate(text=c.text, tokens=c.tokens, answer=c.answer) for c in evidence)
+        for spec in self.SHARED_SPECS:
+            omitted = validate_instance(Instance(id="t", evidence=evidence), spec, WeightSpec())
+            assert omitted.hypotheses is omitted.evidence
+            explicit = Instance(id="t", evidence=evidence, hypotheses=copy)
+            for jobs in (1, 3):
+                want = gain_matrix(explicit, spec, jobs)
+                assert want.shape == (48, 48)
+                for inst in (omitted, Instance(id="t", evidence=evidence)):
+                    got = gain_matrix(inst, spec, jobs)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (spec, jobs)
+
+    def test_missing_answer_names_the_first_sample_on_either_side(self):
+        spec = GainSpec(kind="answer_match")
+        answered = tuple(Candidate(text="t", answer=str(k % 3)) for k in range(6))
+        bare = Candidate(text="t")
+        evidence = answered[:4] + (bare,) + answered[4:] + (bare,)
+        for hypotheses in (None, answered):
+            with pytest.raises(MissingAnswerError, match=r"^evidence\[4\] has no extracted answer$"):
+                gain_matrix(Instance(id="t", evidence=evidence, hypotheses=hypotheses), spec)
+        hypotheses = answered[:2] + (bare,) + answered + (bare,)
+        with pytest.raises(MissingAnswerError, match=r"^hypotheses\[2\] has no extracted answer$"):
+            gain_matrix(Instance(id="t", evidence=answered, hypotheses=hypotheses), spec)
+        # The evidence is checked first.
+        with pytest.raises(MissingAnswerError, match=r"^evidence\[4\]"):
+            gain_matrix(Instance(id="t", evidence=evidence, hypotheses=hypotheses), spec)
+
     def test_counting_runs_once_per_distinct_candidate(self, monkeypatch):
         texts = ("the cat sat", "a dog ran off", "the cat sat on the mat")
         rng = np.random.default_rng(64)
@@ -714,21 +750,27 @@ class TestMultisetCompression:
             return tokens(*args, **kwargs)
 
         def recorded_postings(ev_seqs, hyp_seqs, max_order):
-            sides.append((sorted(ev_seqs), sorted(hyp_seqs)))
+            sides.append((sorted(ev_seqs), hyp_seqs is ev_seqs))
             return postings(ev_seqs, hyp_seqs, max_order)
 
         monkeypatch.setattr(metrics, "candidate_tokens", counted_tokens)
         monkeypatch.setattr(metrics, "_ngram_postings", recorded_postings)
-        # Hypotheses default to the evidence: two sides of three distinct
-        # each, and each distinct sequence reaches the builder once per side.
-        for spec in (ROUGE1, BLEU4):
+        # Hypotheses default to the evidence: one interning of three
+        # distinct candidates serves both sides, and the builder gets that
+        # one list as both.
+        for spec in (ROUGE1, BLEU4, EXACT):
             gain_matrix(inst, spec)
-            assert calls["candidate_tokens"] <= 6
-            assert sides == [(distinct, distinct)], spec
+            assert calls["candidate_tokens"] == 3, spec
+            assert sides == ([] if spec is EXACT else [(distinct, True)]), spec
             calls.clear()
             sides.clear()
+        # Explicit hypotheses are their own side.
+        gain_matrix(Instance(id="t", evidence=evidence, hypotheses=evidence[:40]), ROUGE1)
+        assert calls["candidate_tokens"] == 3 + len({c.text for c in evidence[:40]})
+        assert sides == [(distinct, False)]
+        calls.clear()
         compute_weights(inst, WeightSpec(kind="length_norm", beta=1.0), ROUGE1)
-        assert calls["candidate_tokens"] <= 3
+        assert calls["candidate_tokens"] == 3
 
 
 class TestDependencies:
