@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .decoder import decode
-from .errors import ConfigError, MbrError, ParseError, SchemaError
+from .errors import ConfigError, MbrError, ParseError, SchemaError, with_instance_id
 from .io import RawJson, dumps, iter_lines, parse_instance_line, result_record, write_instances
 from .metrics import gain_matrix
 from .oracle import build_fixture_instances
@@ -232,7 +232,7 @@ def _matrix_record(inst: Instance, config: RunConfig, echo: RawJson) -> dict:
         checked = validate_instance(inst, config.gain, WeightSpec(), config.dedup_hypotheses)
         matrix = gain_matrix(checked, config.gain)
     except MbrError as exc:
-        raise MbrError(f"instance {inst.id!r}: {exc}") from exc
+        raise with_instance_id(exc, inst.id) from exc
     return {
         "id": inst.id,
         "gain_matrix": matrix.tolist(),
@@ -343,24 +343,20 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def cmd_fixtures(args: argparse.Namespace) -> int:
-    instances = build_fixture_instances(seed=args.seed)
+    """Write toy.jsonl, then decode it into each golden file as ``mbrkit decode`` does."""
     os.makedirs(os.path.join(args.output, "golden"), exist_ok=True)
     toy_path = os.path.join(args.output, "toy.jsonl")
     with open(toy_path, "w", encoding="utf-8", newline="\n") as stream:
-        write_instances(instances, stream)
-    written = [toy_path]
+        write_instances(build_fixture_instances(seed=args.seed), stream)
+    print(toy_path)
+    failed = 0
     for gain_name, gain in GOLDEN_GAINS:
         for weight_name, weighting in GOLDEN_WEIGHTINGS:
-            config = RunConfig(gain=gain, weighting=weighting)
-            echo = RawJson(dumps(config_echo(config)))
             path = os.path.join(args.output, "golden", f"{gain_name}_{weight_name}.jsonl")
-            with open(path, "w", encoding="utf-8", newline="\n") as stream:
-                for inst in instances:
-                    stream.write(dumps(_decode_record(inst, config, echo)) + "\n")
-            written.append(path)
-    for path in written:
-        print(path)
-    return 0
+            config = RunConfig(gain=gain, weighting=weighting, input=toy_path, output=path)
+            failed |= _run_batch(config, _decode_record, config_echo(config))
+            print(path)
+    return failed
 
 
 def run(argv=None) -> int:

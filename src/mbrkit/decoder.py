@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MbrError, ShapeMismatchError
+from .errors import MbrError, ShapeMismatchError, with_instance_id
 from .metrics import candidate_tokens, gain_matrix
 from .types import (
     TIE_BREAKS,
@@ -92,15 +92,6 @@ def select(
     return int(best), True
 
 
-def _reraise_with_id(exc: MbrError, instance_id: str) -> MbrError:
-    try:
-        wrapped = type(exc)(f"instance {instance_id!r}: {exc}")
-    except TypeError:
-        wrapped = MbrError(f"instance {instance_id!r}: {exc}")
-    wrapped.__cause__ = exc
-    return wrapped
-
-
 def _decode_validated(
     inst: Instance, gain_spec: GainSpec, weight_spec: WeightSpec, tie_break: str
 ) -> DecodeResult:
@@ -139,7 +130,7 @@ def decode(
         checked = validate_instance(inst, gain_spec, weight_spec, dedup_hypotheses)
         return _decode_validated(checked, gain_spec, weight_spec, tie_break)
     except MbrError as exc:
-        raise _reraise_with_id(exc, inst.id) from exc
+        raise with_instance_id(exc, inst.id) from exc
 
 
 def self_consistency(
@@ -162,7 +153,7 @@ def self_consistency(
         tally = Counter(c.answer.strip() for c in checked.evidence)
         winner = checked.hypotheses[result.selected_index].answer.strip()
     except MbrError as exc:
-        raise _reraise_with_id(exc, inst.id) from exc
+        raise with_instance_id(exc, inst.id) from exc
     return replace(result, answer=winner, votes=tally[winner])
 
 
@@ -192,7 +183,7 @@ def range_vote(
         means = np.array([t / n for t in totals])
         index, tie_broken = select(means, inst.hypotheses, tie_break, gain_spec)
     except MbrError as exc:
-        raise _reraise_with_id(exc, inst.id) from exc
+        raise with_instance_id(exc, inst.id) from exc
     return DecodeResult(
         selected_index=index,
         selected_text=inst.hypotheses[index].text,

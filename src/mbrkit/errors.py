@@ -2,7 +2,8 @@
 
 Every error raised on a per-instance code path derives from
 :class:`MbrError` and carries a plain message, so callers can attach
-instance context by re-raising the same class with an augmented string.
+instance context by re-raising the same class with an augmented string;
+:func:`with_instance_id` is the one place that does so.
 Configuration mistakes (bad flag values, inconsistent specs) raise
 :class:`ConfigError` instead, which the CLI maps to a distinct exit code.
 """
@@ -81,3 +82,14 @@ class SchemaError(MbrError):
         super().__init__(f"line {line}, field '{field}': {message}")
         self.line = line
         self.field = field
+
+
+def with_instance_id(exc: MbrError, instance_id: str) -> MbrError:
+    """``exc`` re-made with ``instance 'id': `` before its message and ``exc``
+    as its cause: the same class, or MbrError if that class takes more."""
+    try:
+        wrapped = type(exc)(f"instance {instance_id!r}: {exc}")
+    except TypeError:
+        wrapped = MbrError(f"instance {instance_id!r}: {exc}")
+    wrapped.__cause__ = exc
+    return wrapped

@@ -1,10 +1,16 @@
 """Tokenization, n-gram counts joined on their postings, and the built-in gains.
 
-Every gain here maps a (evidence, hypothesis) candidate pair into [0, 1].
+Every gain maps an (evidence, hypothesis) candidate pair into [0, 1].
 :func:`gain_matrix` holds the only implementation of each gain, batched
-over all pairs of an instance; :func:`pair_gain` is its 1x1 case.
-Evidence samples repeat, since duplicates carry probability mass, so the
-matrix is built once per distinct candidate and gathered back per sample.
+over all pairs of an instance; :func:`pair_gain` is its 1x1 case. The
+gains come in three families: ``external`` passes through a matrix the
+instance carries; key match is 1 iff two keys are equal, the stripped
+answer for ``answer_match`` (self-consistency) or the token sequence
+for ``exact_match`` (mode seeking); the n-gram gains are the ROUGE-n
+overlap kernel and sentence BLEU. Evidence samples repeat, since
+duplicates carry probability mass, so every candidate is tokenized once
+per distinct ``(text, tokens)`` pair and an n-gram table is built once
+per distinct pair of candidates, then gathered back per sample.
 The n-gram overlap kernel is defined in its signed-difference form,
 
     K(y, y') = 1 - |T(y) - T(y')|_1 / (|T(y)|_1 + |T(y')|_1)
@@ -39,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MatrixShapeMismatchError, MbrError, MissingAnswerError, OrderMismatchError
-from .types import Candidate, GainSpec, Instance
+from .errors import MbrError, MissingAnswerError, OrderMismatchError
+from .types import Candidate, GainSpec, Instance, require_external_gain
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -89,14 +95,17 @@ def distinct_tokens(cands, spec: GainSpec) -> tuple[list[tuple[str, ...]], np.nd
     return seqs, np.array(inverse, dtype=np.intp)
 
 
-def _answer_ids(cands, side: str, ids: dict) -> np.ndarray:
-    """Each candidate's stripped answer as its id in ``ids``, which gives
-    new answers the next id; raises MissingAnswerError at the first
-    candidate without an answer."""
-    answers = [c.answer for c in cands]
-    if None in answers:
-        raise MissingAnswerError(f"{side}[{answers.index(None)}] has no extracted answer")
-    return np.array([ids.setdefault(a.strip(), len(ids)) for a in answers])
+def _key_ids(cands, spec: GainSpec, side: str, ids: dict) -> np.ndarray:
+    """Each candidate's key as its id in ``ids``, which gives new keys the
+    next id: the stripped answer for ``answer_match`` (MissingAnswerError at
+    the first without one), else the token sequence of :func:`distinct_tokens`."""
+    if spec.kind == "answer_match":
+        answers = [c.answer for c in cands]
+        if None in answers:
+            raise MissingAnswerError(f"{side}[{answers.index(None)}] has no extracted answer")
+        return np.array([ids.setdefault(a.strip(), len(ids)) for a in answers])
+    seqs, inverse = distinct_tokens(cands, spec)
+    return np.array([ids.setdefault(s, len(ids)) for s in seqs])[inverse]
 
 
 @dataclass(frozen=True)
@@ -366,18 +375,10 @@ def _bleu_finish(ref_lens: np.ndarray, hyp_lens: np.ndarray, correct: list[np.nd
     return out
 
 
-def _distinct_gains(ev_keys: list, hyp_keys: list, spec: GainSpec, jobs: int) -> np.ndarray:
-    """Gains of every pair of distinct token sequences; when ``hyp_keys``
-    is ``ev_keys``, each sequence is interned and counted once."""
+def _ngram_gains(ev_keys: list, hyp_keys: list, spec: GainSpec, jobs: int) -> np.ndarray:
+    """ROUGE or BLEU gains of every pair of distinct token sequences; when
+    ``hyp_keys`` is ``ev_keys``, each sequence is counted once."""
     shared = hyp_keys is ev_keys
-    if spec.kind == "exact_match":
-        ids: dict = {}
-        ev_ids = np.array([ids.setdefault(k, len(ids)) for k in ev_keys])
-        hyp_ids = ev_ids if shared else np.array([ids.setdefault(k, len(ids)) for k in hyp_keys])
-        return np.equal.outer(ev_ids, hyp_ids).astype(np.float64)
-
-    if spec.kind not in ("rouge_n_kernel", "sentence_bleu"):
-        raise MbrError(f"unsupported gain kind {spec.kind!r}")
     height, width = len(ev_keys), len(hyp_keys)
     ev_lens = np.fromiter(map(len, ev_keys), np.int64, height)
     hyp_lens = ev_lens if shared else np.fromiter(map(len, hyp_keys), np.int64, width)
@@ -404,45 +405,37 @@ def _distinct_gains(ev_keys: list, hyp_keys: list, spec: GainSpec, jobs: int) ->
 def gain_matrix(inst: Instance, spec: GainSpec, jobs: int = 1) -> np.ndarray:
     """Pairwise gain table: entry (i, j) = G(evidence_i, hypothesis_j).
 
-    ``exact_match`` is 1.0 iff the normalized token sequences are equal,
-    ``answer_match`` iff the extracted answers agree after trimming
-    whitespace. Answer match gives every sample's stripped answer an id
-    and compares the ids of all pairs at once. The other gains intern
-    each side first, on the raw ``(text, tokens)`` pair: tokenization,
-    n-gram counting and the gain itself run once per distinct candidate,
-    never per sample or per pair, and the distinct table is gathered back
-    to one row per evidence sample and one column per hypothesis. Every
-    cell is a function of its pair's keys alone, so the result equals the
-    per-sample table bit for bit. When the hypotheses are the evidence
-    (absent, or the same tuple, as :func:`mbrkit.types.validate_instance`
-    leaves them), one side's interning, answer ids and postings serve
-    both sides. For the n-gram gains, ``rouge_n_kernel`` and
-    ``sentence_bleu``, the postings of both sides are built in one call
-    of :func:`_ngram_postings`, and ``jobs`` > 1 runs the row blocks of
-    the clipped-match join on a thread pool; its sums are exact integers,
-    so the result does not depend on ``jobs``. BLEU's finish is array
-    arithmetic with libm's ``log`` and ``exp``, bit for bit the scalar
-    formula. The match and external gains ignore ``jobs``.
-    ``kind='external'`` returns the instance's precomputed matrix as-is.
+    One branch per gain family. ``external`` returns the instance's
+    matrix as is. Key match gives each sample its key's id, the stripped
+    answer (``answer_match``) or the token sequence (``exact_match``),
+    and compares all pairs by one ``np.equal.outer``. The n-gram gains,
+    ``rouge_n_kernel`` and ``sentence_bleu``, run once per pair of
+    distinct candidates and gather the table back to one row per
+    evidence sample and one column per hypothesis; the postings of both
+    sides come from one :func:`_ngram_postings` call, and ``jobs`` > 1
+    runs the row blocks of the clipped-match join on a thread pool. Token
+    sequences come from :func:`distinct_tokens`, once per distinct raw
+    ``(text, tokens)`` pair. Every cell is a function of its pair's keys
+    alone and the join's sums are exact integers, so the result is the
+    per-sample table bit for bit, whatever ``jobs``. When the hypotheses
+    are the evidence (absent, or the same tuple, as
+    :func:`mbrkit.types.validate_instance` leaves them), one side's
+    interning, ids and postings serve both.
     """
-    hyps = inst.hypotheses if inst.hypotheses is not None else inst.evidence
     if spec.kind == "external":
-        if inst.external_gain is None:
-            raise MatrixShapeMismatchError(
-                "gain kind 'external' requires the instance to carry an external_gain matrix"
-            )
-        return np.asarray(inst.external_gain, dtype=np.float64)
+        return np.asarray(require_external_gain(inst, spec), dtype=np.float64)
 
+    hyps = inst.hypotheses if inst.hypotheses is not None else inst.evidence
     shared = hyps is inst.evidence
-    if spec.kind == "answer_match":
+    if spec.kind in ("exact_match", "answer_match"):
         ids: dict = {}
-        ev_ids = _answer_ids(inst.evidence, "evidence", ids)
-        hyp_ids = ev_ids if shared else _answer_ids(hyps, "hypotheses", ids)
+        ev_ids = _key_ids(inst.evidence, spec, "evidence", ids)
+        hyp_ids = ev_ids if shared else _key_ids(hyps, spec, "hypotheses", ids)
         return np.equal.outer(ev_ids, hyp_ids).astype(np.float64)
 
     ev_keys, ev_inv = distinct_tokens(inst.evidence, spec)
     hyp_keys, hyp_inv = (ev_keys, ev_inv) if shared else distinct_tokens(hyps, spec)
-    table = _distinct_gains(ev_keys, hyp_keys, spec, jobs)
+    table = _ngram_gains(ev_keys, hyp_keys, spec, jobs)
     # A side without duplicates is already in sample order. Columns go
     # first: the row take then copies whole rows.
     if len(hyp_keys) < len(hyp_inv):

@@ -162,13 +162,15 @@ class ToyDistribution:
         (PCG64) seeded with ``seed``; draw k maps the k-th uniform through
         the cumulative probabilities of the enumeration. Two calls with
         the same seed therefore agree elementwise, and fixtures derived
-        from samples are stable as long as that generator is.
+        from samples are stable as long as that generator is. The draws of
+        one sequence share one (frozen) Candidate.
         """
         rng = np.random.default_rng(seed)
         u = rng.random(n)
         idx = np.searchsorted(self._cum, u, side="right")
-        idx = np.minimum(idx, len(self._space) - 1)
-        return [self.candidate(self._space[int(i)], model_id) for i in idx]
+        idx = np.minimum(idx, len(self._space) - 1).tolist()
+        built = {i: self.candidate(self._space[i], model_id) for i in dict.fromkeys(idx)}
+        return [built[i] for i in idx]
 
     def _expected_gains(self, hypotheses: Sequence[str | Candidate],
                         gain: GainSpec) -> list[float]:

@@ -1,7 +1,7 @@
 """Shared domain types and instance validation.
 
-All types are plain frozen dataclasses: cheap to construct, structurally
-comparable, and safe to share across parallel workers once validated.
+All types are plain frozen dataclasses: structurally comparable, and
+safe to share across parallel workers once validated.
 Invariant enforcement lives in :func:`validate_instance`, not in the
 constructors, so that IO layers can build partially-checked objects and
 report schema problems with their own context.
@@ -184,11 +184,13 @@ def _coerce_candidate(c: Candidate) -> Candidate:
     return c
 
 
-def _token_key(c: Candidate, gain: GainSpec) -> tuple[str, ...]:
-    # Local import: metrics depends on this module for GainSpec.
-    from .metrics import candidate_tokens
-
-    return candidate_tokens(c, gain)
+def require_external_gain(inst: Instance, gain: GainSpec) -> tuple | None:
+    """The instance's external gain matrix, which an ``external`` gain requires."""
+    if gain.kind == "external" and inst.external_gain is None:
+        raise MatrixShapeMismatchError(
+            "gain kind 'external' requires the instance to carry an external_gain matrix"
+        )
+    return inst.external_gain
 
 
 def validate_instance(
@@ -204,8 +206,9 @@ def validate_instance(
     the field requirements of the given gain and weighting specs.
     Idempotent: validating a validated instance returns an equal instance.
 
-    With ``dedup_hypotheses`` the hypothesis list is deduplicated by exact
-    token sequence (first occurrence kept); external gain columns are
+    With ``dedup_hypotheses`` the hypothesis list keeps the first of each
+    token sequence, tokenized once per distinct candidate by
+    :func:`mbrkit.metrics.distinct_tokens`; external gain columns are
     sliced to match. Off by default because it changes tie-break outcomes.
     """
     evidence = tuple(_coerce_candidate(c) for c in inst.evidence)
@@ -223,7 +226,7 @@ def validate_instance(
     if hypotheses is not evidence:
         _check_finite_scores(hypotheses, "hypotheses")
 
-    external = inst.external_gain
+    external = require_external_gain(inst, gain)
     if external is not None:
         external = tuple(tuple(float(v) for v in row) for row in external)
         if len(external) != len(evidence) or any(len(row) != len(hypotheses) for row in external):
@@ -236,19 +239,14 @@ def validate_instance(
             for j, v in enumerate(row):
                 if not math.isfinite(v):
                     raise NonFiniteValueError(f"external_gain[{i}][{j}] is {v!r}")
-    elif gain.kind == "external":
-        raise MatrixShapeMismatchError(
-            "gain kind 'external' requires the instance to carry an external_gain matrix"
-        )
 
     if dedup_hypotheses:
-        seen: set[tuple[str, ...]] = set()
-        keep: list[int] = []
-        for j, h in enumerate(hypotheses):
-            key = _token_key(h, gain)
-            if key not in seen:
-                seen.add(key)
-                keep.append(j)
+        # Local import: metrics depends on this module for GainSpec.
+        from .metrics import distinct_tokens
+
+        seqs, inverse = distinct_tokens(hypotheses, gain)
+        first: dict = {}
+        keep = [j for j, k in enumerate(inverse.tolist()) if first.setdefault(seqs[k], j) == j]
         if len(keep) != len(hypotheses):
             hypotheses = tuple(hypotheses[j] for j in keep)
             if external is not None:

@@ -41,12 +41,19 @@ def corrected_score(score: float, length: int, spec: WeightSpec) -> float:
     length_norm divides the score by length**beta; length_reward adds
     gamma per token. Zero-length candidates are rejected: length**beta is
     undefined at 0 for negative beta and a zero-token sequence carries no
-    usable length signal.
+    usable length signal. Any score type gives the IEEE 754 float, with no
+    warning: an out-of-range power is inf, and x / +0.0 is +-inf or nan.
     """
+    score = float(score)
     if spec.kind == "length_norm":
         if length < 1:
             raise ZeroLengthCandidateError("length normalization of a zero-token candidate")
-        return score / float(length) ** spec.beta
+        try:
+            return score / float(length) ** spec.beta
+        except OverflowError:
+            return score / float("inf")
+        except ZeroDivisionError:
+            return score * float("inf")  # x / +0.0
     if spec.kind == "length_reward":
         if length < 1:
             raise ZeroLengthCandidateError("length reward of a zero-token candidate")

@@ -7,14 +7,23 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mbrkit
-from mbrkit import Candidate, Instance, ParseError, SchemaError
-from mbrkit.cli import parse_mixture, run
+from mbrkit import (
+    Candidate,
+    GainSpec,
+    Instance,
+    MissingAnswerError,
+    ParseError,
+    SchemaError,
+    WeightSpec,
+)
+from mbrkit.cli import RunConfig, _matrix_record, parse_mixture, run
 from mbrkit.io import (
     RawJson,
     dumps,
@@ -580,6 +589,44 @@ class TestDecodeCommand:
         rec_b.pop("config_echo")
         assert rec_a == rec_b
 
+    LONG = " ".join(f"w{i}" for i in range(30))
+
+    def run_length_norm(self, tmp_path, capsys, beta, first_line):
+        inp = self.write_input(tmp_path, [
+            json.dumps(first_line),
+            '{"id":"good","evidence":[{"text":"a","score":-0.5},{"text":"b","score":-1.5}]}',
+        ])
+        out = tmp_path / "out.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["decode", "--weighting", "length-norm", f"--beta={beta}",
+                        "--input", str(inp), "--output", str(out)])
+        assert caught == []
+        records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        return code, records, capsys.readouterr().err
+
+    def test_huge_beta_overflow_is_not_a_crash(self, tmp_path, capsys):
+        # 30 ** 1000 is above the float range, so the long sample's
+        # corrected score is -12.5 / inf = -0.0: log weights 12.5 and 0.
+        code, records, err = self.run_length_norm(tmp_path, capsys, 1000, {
+            "id": "long", "evidence": [{"text": self.LONG, "score": -12.5},
+                                       {"text": "a", "score": -1.5}]})
+        assert (code, err) == (0, "")
+        assert [r["id"] for r in records] == ["long", "good"]
+        assert records[0]["weights"] == pytest.approx([1 / (1 + math.exp(-12.5)),
+                                                       1 / (1 + math.exp(12.5))], rel=1e-12)
+        assert records[1]["weights"] == [0.5, 0.5]
+
+    def test_huge_negative_beta_is_a_degenerate_line(self, tmp_path, capsys):
+        # 30 ** -1000 underflows to 0.0: every corrected score is -inf.
+        code, records, err = self.run_length_norm(tmp_path, capsys, -1000, {
+            "id": "long", "evidence": [{"text": self.LONG, "score": -12.5},
+                                       {"text": self.LONG.upper(), "score": -3.0}]})
+        assert code == 1
+        assert [r["id"] for r in records] == ["good"]
+        assert err == ("line 1: instance 'long': all unnormalized weights are zero or "
+                       "undefined; cannot normalize\n")
+
     def test_output_uses_lf_endings(self, tmp_path):
         inp = self.write_input(tmp_path, ['{"id":"1","evidence":[{"text":"a"}]}'])
         out = tmp_path / "out.jsonl"
@@ -615,6 +662,20 @@ class TestMatrixCommand:
                     "--input", str(inp), "--output", str(out)]) == 0
         record = json.loads(out.read_text())
         assert record["gain_matrix"] == [[0.25, 0.5], [0.125, 1.0]]
+
+
+    def test_line_error_keeps_its_class(self, tmp_path, capsys):
+        inst = Instance(id="x", evidence=(Candidate(text="a", answer="1"), Candidate(text="b")))
+        config = RunConfig(gain=GainSpec(kind="answer_match"), weighting=WeightSpec())
+        with pytest.raises(MissingAnswerError,
+                           match=r"^instance 'x': evidence\[1\] has no extracted answer$"):
+            _matrix_record(inst, config, RawJson("{}"))
+        inp = tmp_path / "in.jsonl"
+        with inp.open("w", encoding="utf-8") as stream:
+            write_instances([inst], stream)
+        assert run(["matrix", "--metric", "answer", "--input", str(inp)]) == 1
+        assert capsys.readouterr().err == (
+            "line 1: instance 'x': evidence[1] has no extracted answer\n")
 
 
 class TestFixturesCommand:

@@ -614,7 +614,10 @@ class TestMultisetCompression:
     def test_matrix_bytes_equal_per_sample_reference(self):
         rng = np.random.default_rng(61)
         evidence = draw_candidates(rng, 48)
-        for hypotheses in (None, draw_candidates(rng, 20)):
+        # Explicit slates repeat the evidence's keys, as fresh objects or as
+        # the evidence's own, and the last adds a key the evidence lacks.
+        for hypotheses in (None, draw_candidates(rng, 20), draw_candidates(rng, 12)
+                           + (Candidate(text="not drawn"),) + evidence[:3]):
             for spec in self.SPECS:
                 inst = validate_instance(Instance(id="t", evidence=evidence,
                                                   hypotheses=hypotheses), spec, WeightSpec())

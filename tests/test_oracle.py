@@ -16,6 +16,7 @@ from mbrkit import (
     build_fixture_instances,
     pair_gain,
 )
+from mbrkit import oracle
 
 ROUGE1 = GainSpec(kind="rouge_n_kernel", n=1)
 EXACT = GainSpec(kind="exact_match")
@@ -179,6 +180,30 @@ class TestSample:
         sample = dist.sample(100_000, seed=2)
         freq_a = sum(1 for c in sample if c.text == "a") / 100_000
         assert abs(freq_a - 0.75) <= 0.01
+
+    def test_one_candidate_per_distinct_sequence_drawn(self, monkeypatch):
+        dist = ToyDistribution.random(("a", "b", "c"), 3, np.random.default_rng(50))
+        space, probs = zip(*dist.enumerate_space())
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(Candidate(*args, **kwargs))
+            return built[-1]
+
+        for seed in (1, 2, 3):
+            u = np.random.default_rng(seed).random(500)
+            drawn = np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"),
+                               len(space) - 1).tolist()
+            for model_id in (None, "m1"):
+                want = [Candidate(text=space[i], tokens=tuple(space[i]),
+                                  score=dist.log_prob(space[i]), answer=space[i][0],
+                                  model_id=model_id) for i in drawn]
+                built.clear()
+                monkeypatch.setattr(oracle, "Candidate", counted)
+                got = dist.sample(500, seed=seed, model_id=model_id)
+                monkeypatch.undo()
+                assert got == want
+                assert len(built) <= len(set(drawn)) < len(drawn)
 
     def test_model_id_passthrough(self):
         dist = ToyDistribution(vocab=("a",), max_len=1, logits={"a": 0.0})

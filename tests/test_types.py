@@ -16,8 +16,10 @@ from mbrkit import (
     MissingScoreError,
     NonFiniteValueError,
     WeightSpec,
+    gain_matrix,
     validate_instance,
 )
+from mbrkit import metrics
 
 
 def make_instance(texts=("a", "a", "b"), **kwargs):
@@ -154,6 +156,36 @@ class TestValidateInstance:
         checked = validate_instance(inst, GainSpec(), WeightSpec(), dedup_hypotheses=True)
         assert [c.text for c in checked.hypotheses] == ["a b", "c"]
         assert checked.hypotheses[0].score == -1.0
+
+    def test_dedup_tokenizes_each_distinct_hypothesis_once(self, monkeypatch):
+        texts = ("a b", "a  b", "c", "A b")
+        hypotheses = tuple(Candidate(text=texts[k % 4]) for k in (0, 1, 2, 0, 3, 2, 1, 0, 3, 2))
+        inst = Instance(id="t", evidence=(Candidate(text="a"),), hypotheses=hypotheses)
+        tokens, calls = metrics.candidate_tokens, []
+
+        def counted(c, spec):
+            calls.append(c.text)
+            return tokens(c, spec)
+
+        monkeypatch.setattr(metrics, "candidate_tokens", counted)
+        checked = validate_instance(inst, GainSpec(), WeightSpec(), dedup_hypotheses=True)
+        assert [c.text for c in checked.hypotheses] == ["a b", "c"]
+        assert sorted(calls) == sorted(texts)
+        calls.clear()
+        cased = validate_instance(inst, GainSpec(lowercase=False), WeightSpec(),
+                                  dedup_hypotheses=True)
+        assert [c.text for c in cased.hypotheses] == ["a b", "c", "A b"]
+        assert sorted(calls) == sorted(texts)
+
+    def test_missing_external_matrix_is_one_message(self):
+        inst = make_instance()
+        spec = GainSpec(kind="external")
+        with pytest.raises(MatrixShapeMismatchError) as by_validation:
+            validate_instance(inst, spec, WeightSpec())
+        with pytest.raises(MatrixShapeMismatchError) as by_matrix:
+            gain_matrix(inst, spec)
+        assert str(by_validation.value) == str(by_matrix.value) == (
+            "gain kind 'external' requires the instance to carry an external_gain matrix")
 
     def test_dedup_slices_external_columns(self):
         inst = Instance(

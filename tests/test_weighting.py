@@ -1,5 +1,6 @@
 """Tests for evidence weighting: corrections, normalization, diagnostics."""
 
+import math
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from mbrkit import (
     Candidate,
     DegenerateWeightsError,
+    NonFiniteValueError,
+    ToyDistribution,
     GainSpec,
     Instance,
     MissingModelIdError,
@@ -16,6 +19,7 @@ from mbrkit import (
     ZeroLengthCandidateError,
     compute_weights,
     corrected_score,
+    decode,
 )
 
 GAIN = GainSpec()
@@ -52,6 +56,47 @@ class TestCorrectedScore:
             corrected_score(-4.0, 0, WeightSpec(kind="length_norm", beta=1.0))
         with pytest.raises(ZeroLengthCandidateError):
             corrected_score(-4.0, 0, WeightSpec(kind="length_reward", gamma=0.5))
+
+    def test_out_of_range_powers_give_ieee_values_for_any_score_type(self):
+        # 30 ** 1000 is above the float range and 30 ** -1000 underflows
+        # to +0.0: the score divides by inf, or by +0.0, as in IEEE 754.
+        cases = (
+            (1000.0, -3.5, -0.0),
+            (1000.0, 2.0, 0.0),
+            (-1000.0, -3.5, -math.inf),
+            (-1000.0, 2.0, math.inf),
+            (-1000.0, 0.0, math.nan),
+            (0.7, -3.5, -3.5 / 30.0**0.7),
+        )
+        for beta, score, want in cases:
+            spec = WeightSpec(kind="length_norm", beta=beta)
+            got = [corrected_score(typed, 30, spec) for typed in (score, np.float64(score))]
+            assert [type(g) for g in got] == [float, float]
+            assert np.float64(got[0]).tobytes() == np.float64(got[1]).tobytes(), (beta, score)
+            if math.isnan(want):
+                assert math.isnan(got[0])
+            else:
+                assert np.float64(got[0]).tobytes() == np.float64(want).tobytes(), (beta, score)
+
+
+class TestExtremeBeta:
+    LONG = tuple(f"w{i}" for i in range(30))
+
+    def test_decode_gives_a_result_or_an_instance_error(self):
+        inst = Instance(id="long", evidence=(Candidate(text="", tokens=self.LONG, score=-12.5),
+                                             Candidate(text="", tokens=("a", "b"), score=-1.5)))
+        # 2 ** 1000 is finite and 30 ** 1000 is not: log weights 12.5 and
+        # 1.5 up to about 1e-301.
+        result = decode(inst, GAIN, WeightSpec(kind="length_norm", beta=1000.0))
+        assert result.weights == pytest.approx(decimal_softmax([12.5, 1.5]), rel=1e-12)
+        only_long = Instance(id="long", evidence=(inst.evidence[0], inst.evidence[0]))
+        with pytest.raises(DegenerateWeightsError, match="^instance 'long': "):
+            decode(only_long, GAIN, WeightSpec(kind="length_norm", beta=-1000.0))
+
+    def test_oracle_correction_rejects_nonfinite_logits(self):
+        dist = ToyDistribution.random(("a", "b"), 4, np.random.default_rng(5))
+        with pytest.raises(NonFiniteValueError):
+            dist.corrected(WeightSpec(kind="length_norm", beta=-1000.0))
 
 
 class TestUniform:
