@@ -172,7 +172,8 @@ def _add_gain_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_io_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for the instance batch (default 1)")
+                        help="worker processes for the instance batch, at most one per "
+                             "CPU core (default 1)")
     parser.add_argument("--input", metavar="PATH", default=None,
                         help="input JSONL file (default standard input)")
     parser.add_argument("--output", metavar="PATH", default=None,
@@ -290,8 +291,9 @@ def _windowed_map(pool: Executor, fn, items, window: int, *args):
 def _run_batch(config: RunConfig, record_fn, echo: dict) -> int:
     """Stream the input through ``_process_line``, writing each outcome in
     input order as it arrives; results go to the output, errors to stderr.
-    With ``jobs`` > 1 the lines go to worker processes through a window
-    of ``_WINDOW_PER_JOB * jobs`` lines (:func:`_windowed_map`).
+    With ``jobs`` > 1 the lines go to at most ``os.cpu_count()`` worker
+    processes through a window of ``_WINDOW_PER_JOB * jobs`` lines
+    (:func:`_windowed_map`).
 
     ``echo`` is the same on every line, so it is serialized once here.
     """
@@ -315,8 +317,10 @@ def _run_batch(config: RunConfig, record_fn, echo: dict) -> int:
         if config.jobs > 1:
             methods = mp.get_all_start_methods()
             ctx = mp.get_context("fork" if "fork" in methods else methods[0])
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.jobs,
-                                                           mp_context=ctx))
+            # Under fork every worker starts at the first submit, so the
+            # pool has at most one per core; the window stays in jobs.
+            workers = min(config.jobs, os.cpu_count() or 1)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers, mp_context=ctx))
             outcomes = _windowed_map(pool, _process_line, lines, _WINDOW_PER_JOB * config.jobs,
                                      config, record_fn, echo)
         else:

@@ -115,9 +115,17 @@ class WeightSpec:
             raise ConfigError(f"unknown weighting kind {self.kind!r}; expected one of {WEIGHT_KINDS}")
         if self.kind == "temperature" and not self.tau > 0:
             raise ConfigError(f"temperature tau must be > 0, got {self.tau}")
+        # The config echo carries every parameter, and JSON has no inf or nan.
+        for name in ("tau", "beta", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"weighting {name} must be finite, got {getattr(self, name)}")
+        if self.kind == "temperature" and not math.isfinite(1.0 / self.tau):
+            raise ConfigError(f"temperature tau must have a finite reciprocal, got {self.tau}")
         if self.mixture_weights is not None:
             if any(w < 0 for w in self.mixture_weights.values()):
                 raise ConfigError("mixture weights must be nonnegative")
+            if not all(map(math.isfinite, self.mixture_weights.values())):
+                raise ConfigError("mixture weights must be finite")
             if not sum(self.mixture_weights.values()) > 0:
                 raise ConfigError("mixture weights must sum to a positive number")
 

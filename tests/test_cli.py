@@ -373,6 +373,22 @@ class TestDecodeCommand:
                     "--input", str(inp)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags", [
+        ["--weighting", "length-norm", "--beta", "inf"],
+        ["--weighting", "length-norm", "--beta", "nan"],
+        ["--weighting", "length-reward", "--gamma", "nan"],
+        ["--weighting", "length-reward", "--gamma=-inf"],
+        ["--weighting", "temperature", "--tau", "inf"],
+        ["--weighting", "temperature", "--tau", "1e-320"],
+        ["--weighting", "mixture", "--mixture", "m0=inf,m1=1"],
+        ["--beta", "inf"],
+    ])
+    def test_non_finite_weighting_parameter_is_a_config_error(self, tmp_path, flags):
+        inp = self.write_input(tmp_path, ['{"id":"1","evidence":[{"text":"a","score":-1.0}]}'])
+        code, out, err = self.run_stdin(["decode", *flags, "--input", str(inp)], b"")
+        assert (code, out) == (2, "")
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
     def test_output_over_input_is_a_config_error(self, tmp_path, capsys):
         inp = self.write_input(tmp_path, ['{"id":"1","evidence":[{"text":"a"}]}'])
         before = inp.read_bytes()
@@ -401,6 +417,43 @@ class TestDecodeCommand:
         assert outputs["1"] == outputs["2"] == outputs["4"]
         ids = [json.loads(line)["id"] for line in outputs["1"].decode().splitlines()]
         assert ids == [f"i{k:02d}" for k in range(40)]
+
+    def test_jobs_pool_has_at_most_one_worker_per_core(self, tmp_path, monkeypatch):
+        from concurrent.futures import Future
+
+        from mbrkit import cli
+
+        workers = []
+
+        class InlinePool:
+            """Records its size and runs each task at submit, starting no process."""
+
+            def __init__(self, max_workers, mp_context=None):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        lines = [f'{{"id":"{k}","evidence":[{{"text":"a b"}},{{"text":"b {k}"}}]}}'
+                 for k in range(20)]
+        inp = self.write_input(tmp_path, lines)
+        outputs = {}
+        for jobs in ("1", "1000"):
+            out = tmp_path / f"o{jobs}.jsonl"
+            assert run(["decode", "--jobs", jobs, "--input", str(inp), "--output", str(out)]) == 0
+            outputs[jobs] = out.read_bytes()
+        assert workers == [2]
+        assert outputs["1000"] == outputs["1"] and outputs["1"].count(b"\n") == 20
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_jobs_read_at_most_a_window_ahead(self, tmp_path, capsys, monkeypatch, jobs):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -508,6 +509,38 @@ class TestGainMatrix:
         # Small budgets split the instances into blocks that jobs > 1 runs on
         # a real pool of up to ``jobs`` threads.
         assert all_pools and min(all_pools) >= 2 and max(all_pools) == 8
+
+    def test_one_pool_per_call(self, monkeypatch):
+        # Every order's clipped matches and the finish run per block of
+        # evidence rows, so all orders share the blocks and their pool.
+        pools = []
+
+        class RecordingPool(metrics.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        inst = token_instance(ALL_HEAVY, ALL_HEAVY)
+        want = gain_matrix(inst, BLEU4, jobs=1)
+        monkeypatch.setattr(metrics, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(metrics, "_PAIR_CHUNK", 19)
+        assert gain_matrix(inst, BLEU4, jobs=3).tobytes() == want.tobytes()
+        assert pools == [3]
+
+    def test_bleu_peak_memory_at_scale(self):
+        # Criterion 09's shape: no full table is held per order, so one
+        # BLEU-4 call peaks well under four 8 MB tables plus the output.
+        rng = np.random.default_rng(109)
+        rows = tuple(tuple(f"w{int(i)}" for i in rng.integers(0, 20, size=30))
+                     for _ in range(1000))
+        inst = token_instance(rows, rows)
+        tracemalloc.start()
+        try:
+            gain_matrix(inst, BLEU4, jobs=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30e6, peak
 
     def test_unique_always_sorts(self, monkeypatch):
         # Without a return flag, np.unique takes numpy's hash path, whose

@@ -74,6 +74,28 @@ class TestWeightSpec:
         with pytest.raises(ConfigError):
             WeightSpec(kind="mixture", mixture_weights={"m0": 0.0})
 
+    @pytest.mark.parametrize("kwargs", [
+        {"kind": "length_norm", "beta": math.inf},
+        {"kind": "length_norm", "beta": math.nan},
+        {"kind": "length_reward", "gamma": math.nan},
+        {"kind": "length_reward", "gamma": -math.inf},
+        {"kind": "temperature", "tau": math.inf},
+        {"kind": "temperature", "tau": 1e-320},  # 1 / tau is inf
+        {"kind": "mixture", "mixture_weights": {"m0": math.inf, "m1": 1.0}},
+        {"kind": "mixture", "mixture_weights": {"m0": math.nan, "m1": 1.0}},
+        # The config echo carries every parameter, whatever the kind.
+        {"kind": "uniform", "beta": math.inf},
+        {"kind": "uniform", "tau": math.nan},
+    ])
+    def test_rejects_non_finite_parameters(self, kwargs):
+        with pytest.raises(ConfigError):
+            WeightSpec(**kwargs)
+
+    def test_accepts_finite_extremes(self):
+        WeightSpec(kind="temperature", tau=1e-300)
+        WeightSpec(kind="length_norm", beta=-1000.0)
+        WeightSpec(kind="mixture", mixture_weights={"m0": 1e308, "m1": 0.0})
+
 
 class TestValidateInstance:
     def test_defaults_hypotheses_to_evidence(self):
