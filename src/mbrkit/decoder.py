@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MbrError, ShapeMismatchError, with_instance_id
+from .errors import MbrError, NonFiniteValueError, ShapeMismatchError, with_instance_id
 from .metrics import candidate_tokens, gain_matrix
 from .types import (
     TIE_BREAKS,
@@ -39,7 +39,8 @@ def expected_gains(matrix: np.ndarray, weights: np.ndarray | WeightVector) -> np
 
     Computed as an explicit elementwise product followed by an axis sum so
     the floating-point reduction order is fixed, which keeps results
-    bit-identical across worker counts and BLAS builds.
+    bit-identical across worker counts and BLAS builds. A sum past the
+    float range is +-inf with no warning; :func:`select` rejects it.
     """
     if isinstance(weights, WeightVector):
         weights = weights.weights
@@ -52,7 +53,8 @@ def expected_gains(matrix: np.ndarray, weights: np.ndarray | WeightVector) -> np
             f"weight vector of shape {weights.shape} does not match "
             f"gain matrix of shape {matrix.shape}"
         )
-    return (weights[:, None] * matrix).sum(axis=0)
+    with np.errstate(over="ignore"):
+        return (weights[:, None] * matrix).sum(axis=0)
 
 
 def select(
@@ -69,14 +71,19 @@ def select(
     the lowest index, ``highest_score`` prefers the largest candidate
     score (missing scores rank lowest), and ``longest`` prefers the most
     tokens; both fall back to the lowest index among remaining equals.
-    An unknown rule is rejected whether or not there is a tie.
+    An unknown rule is rejected whether or not there is a tie, and a
+    non-finite gain, which no tie rule can order, is a NonFiniteValueError.
     """
     if tie_break not in TIE_BREAKS:
         raise MbrError(f"unknown tie_break {tie_break!r}")
     gains = np.asarray(gains, dtype=float)
     if gains.size == 0:
         raise MbrError("cannot select from an empty gain vector")
-    tied = np.flatnonzero(gains >= gains.max() - TIE_ATOL * np.abs(gains).max())
+    scale = np.abs(gains).max()
+    if not math.isfinite(scale):
+        i = int(np.flatnonzero(~np.isfinite(gains))[0])
+        raise NonFiniteValueError(f"hypotheses[{i}] has non-finite expected gain {gains[i]}")
+    tied = np.flatnonzero(gains >= gains.max() - TIE_ATOL * scale)
     if len(tied) == 1 or tie_break == "first":
         return int(tied[0]), len(tied) > 1
     if tie_break == "highest_score":

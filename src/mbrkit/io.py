@@ -4,11 +4,13 @@ One JSON object per line, UTF-8, LF endings. Serialization is done by a
 small fixed-order emitter rather than :func:`json.dumps` so that float
 formatting (17 significant digits) and key order are pinned down; output
 bytes must be reproducible across runs, platforms, and worker counts.
-The emitter dispatches on a value's exact type first and falls back to
-an ``isinstance`` chain for subclasses. Strings and keys are escaped by
+The emitter looks a value's type up in one type table, a subclass by
+its nearest base. Strings and keys are escaped by
 ``json.encoder.encode_basestring``, the function ``json.dumps`` itself
 uses with ``ensure_ascii=False``, and an array of plain floats is joined
-in one pass. Parsing builds a field's location only for its error.
+in one pass. Parsing builds a field's location only for its error, and
+reports any JSON the decoder rejects, an over-long integer included, as
+a ParseError.
 """
 
 from __future__ import annotations
@@ -52,23 +54,8 @@ def _dumps_array(value) -> str:
     return "[" + ",".join(map(dumps, value)) + "]"
 
 
-def _dumps_subclass(value) -> str:
-    # bool and NoneType cannot be subclassed, so neither reaches here.
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if isinstance(value, dict):
-        return _dumps_dict(value)
-    if isinstance(value, (list, tuple)):
-        return _dumps_array(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-# Exact types; a subclass (np.float64, a str or dict subclass) takes the
-# isinstance chain, and RawJson is emitted unchanged.
+# A subclass (np.float64, a str or dict subclass) takes the entry of its
+# nearest base along its MRO; RawJson is emitted unchanged.
 _DUMPS_BY_TYPE = {
     type(None): lambda value: "null",
     bool: lambda value: "true" if value else "false",
@@ -87,11 +74,15 @@ def dumps(value) -> str:
 
     Dicts keep insertion order; floats go through :func:`format_float`;
     a :class:`RawJson` is emitted unchanged; everything else matches
-    standard JSON.
+    standard JSON. A value is emitted as its exact type's entry in the
+    type table, or else as its nearest base's, so an ``int`` subclass
+    gives its digits whatever its ``__str__``.
     """
     encode = _DUMPS_BY_TYPE.get(type(value))
     if encode is None:
-        return _dumps_subclass(value)
+        encode = next(filter(None, map(_DUMPS_BY_TYPE.get, type(value).__mro__)), None)
+        if encode is None:
+            raise TypeError(f"cannot serialize {type(value).__name__}")
     return encode(value)
 
 
@@ -150,6 +141,8 @@ def parse_instance_line(raw: str, line: int) -> Instance:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(line, f"invalid JSON: {exc.msg}") from exc
+    except ValueError:  # int() of a literal past the interpreter's digit limit
+        raise ParseError(line, "invalid JSON: integer literal has too many digits") from None
     except RecursionError:
         raise ParseError(line, "nesting too deep") from None
     if not isinstance(obj, dict):

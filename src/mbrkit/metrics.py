@@ -338,8 +338,9 @@ def _bleu_finish(ref_lens: np.ndarray, hyp_lens: np.ndarray, correct: list[np.nd
     divide by the effective order min(hyp_len, max_order); the brevity
     penalty multiplies when hyp_len < ref_len. ``log`` and ``exp`` are
     libm's (``math``), whose results numpy's vectorized versions do not
-    always reproduce. An order the hypothesis is too short for has
-    precision 1, log 0.0, and adds nothing; an empty hypothesis scores 0.
+    always reproduce, each called once per distinct value. An order the
+    hypothesis is too short for has precision 1, log 0.0, and adds
+    nothing; an empty hypothesis scores 0.
     """
     hyp_f = hyp_lens.astype(np.float64)
     orders = np.arange(1, max_order + 1)[:, None]
@@ -356,8 +357,7 @@ def _bleu_finish(ref_lens: np.ndarray, hyp_lens: np.ndarray, correct: list[np.nd
         precision[:, ~supported[n]] = 1.0
         log_sum += _libm_per_distinct(math.log, precision)
     log_sum /= np.minimum(np.maximum(hyp_f, 1.0), max_order)  # the effective order
-    score = np.fromiter(map(math.exp, log_sum.ravel().tolist()), np.float64, log_sum.size)
-    score = score.reshape(log_sum.shape)
+    score = _libm_per_distinct(math.exp, log_sum)
     ref_f = ref_lens[:, None].astype(np.float64)
     brevity = np.where(hyp_f < ref_f, 1.0 - ref_f / np.maximum(hyp_f, 1.0), 0.0)
     score *= _libm_per_distinct(math.exp, brevity)  # exp(0.0) == 1.0 leaves a cell as is

@@ -203,16 +203,16 @@ class ToyDistribution:
         if weight.kind == "uniform":
             return self
         if weight.kind == "temperature":
-            new = {s: self.log_prob(s) / weight.tau for s in self._space}
+            with np.errstate(over="ignore"):
+                new = self._log_probs / weight.tau
         elif weight.kind in ("length_norm", "length_reward"):
-            new = {
-                s: corrected_score(self.log_prob(s), len(s), weight) for s in self._space
-            }
+            new = corrected_score(self._log_probs, np.array([len(s) for s in self._space]), weight)
         else:
             raise ConfigError(
                 f"no closed-form corrected distribution for weighting kind {weight.kind!r}"
             )
-        return ToyDistribution(vocab=self.vocab, max_len=self.max_len, logits=new)
+        return ToyDistribution(vocab=self.vocab, max_len=self.max_len,
+                               logits=dict(zip(self._space, new.tolist())))
 
     def exact_mbr(self, hypotheses: Sequence[str], gain: GainSpec) -> str:
         """The hypothesis with the highest exact expected gain.

@@ -126,8 +126,9 @@ class WeightSpec:
                 raise ConfigError("mixture weights must be nonnegative")
             if not all(map(math.isfinite, self.mixture_weights.values())):
                 raise ConfigError("mixture weights must be finite")
-            if not sum(self.mixture_weights.values()) > 0:
-                raise ConfigError("mixture weights must sum to a positive number")
+            total = sum(self.mixture_weights.values())
+            if not 0 < total < math.inf:
+                raise ConfigError(f"mixture weights must sum to a positive finite number, got {total}")
 
 
 @dataclass(frozen=True)

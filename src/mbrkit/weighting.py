@@ -12,6 +12,7 @@ of any bias correction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,30 +36,43 @@ class WeightVector:
     ess: float
 
 
-def corrected_score(score: float, length: int, spec: WeightSpec) -> float:
-    """Length-corrected score s_l for the two length-based weighting kinds.
+def corrected_score(score: float | np.ndarray, length: int | np.ndarray,
+                    spec: WeightSpec) -> float | np.ndarray:
+    """Length-corrected score s_l for the two length-based weighting kinds,
+    of one score and its token count or elementwise over arrays of them.
 
     length_norm divides the score by length**beta; length_reward adds
     gamma per token. Zero-length candidates are rejected: length**beta is
     undefined at 0 for negative beta and a zero-token sequence carries no
-    usable length signal. Any score type gives the IEEE 754 float, with no
-    warning: an out-of-range power is inf, and x / +0.0 is +-inf or nan.
+    usable length signal. Each power is libm's, taken once per distinct
+    length; numpy's ``/``, ``*`` and ``+`` round as Python's do, so every
+    element of an array gets the value of its own scalar call, and a
+    scalar call returns a Python float. Results are IEEE 754 values, with
+    no warning: an out-of-range power is inf, one that underflows is +0.0,
+    and x / +0.0 is +-inf or nan.
     """
-    score = float(score)
-    if spec.kind == "length_norm":
-        if length < 1:
-            raise ZeroLengthCandidateError("length normalization of a zero-token candidate")
-        try:
-            return score / float(length) ** spec.beta
-        except OverflowError:
-            return score / float("inf")
-        except ZeroDivisionError:
-            return score * float("inf")  # x / +0.0
-    if spec.kind == "length_reward":
-        if length < 1:
-            raise ZeroLengthCandidateError("length reward of a zero-token candidate")
-        return score + spec.gamma * length
-    raise ValueError(f"corrected_score is not defined for weighting kind {spec.kind!r}")
+    if spec.kind not in ("length_norm", "length_reward"):
+        raise ValueError(f"corrected_score is not defined for weighting kind {spec.kind!r}")
+    scores = np.asarray(score, dtype=np.float64)
+    lengths = np.asarray(length)
+    if np.any(lengths < 1):
+        noun = "normalization" if spec.kind == "length_norm" else "reward"
+        raise ZeroLengthCandidateError(f"length {noun} of a zero-token candidate")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if spec.kind == "length_reward":
+            corrected = scores + spec.gamma * lengths
+        else:
+            # return_index makes the sort stable: numpy's default argsort
+            # adds about 0.3 MB to a fresh process.
+            distinct, _, inverse = np.unique(lengths, return_index=True, return_inverse=True)
+            powers = []
+            for n in distinct.tolist():
+                try:
+                    powers.append(float(n) ** spec.beta)
+                except OverflowError:
+                    powers.append(math.inf)
+            corrected = scores / np.array(powers)[inverse].reshape(lengths.shape)
+    return corrected.item() if corrected.ndim == 0 else corrected
 
 
 def _normalize_log(log_w: np.ndarray) -> np.ndarray:
@@ -111,11 +125,12 @@ def compute_weights(inst: Instance, spec: WeightSpec, gain_spec: GainSpec) -> We
 
     Score-based kinds normalize in the log domain with max-subtraction;
     duplicates in the evidence multiset keep their own per-sample weight.
-    The length kinds take token counts from
+    Extreme finite scores overflow to +-inf as IEEE arithmetic does, with
+    no warning, and a nan log weight is a DegenerateWeightsError. The
+    length kinds take token counts from
     :func:`mbrkit.metrics.distinct_tokens`, so each distinct
     ``(text, tokens)`` candidate is tokenized once, as in the gain matrix,
-    and call :func:`corrected_score` once per distinct bit-exact
-    ``(score, length)`` pair, in order of each pair's first sample.
+    and correct all scores with one :func:`corrected_score` call.
     """
     n = len(inst.evidence)
     if spec.kind == "uniform":
@@ -125,25 +140,14 @@ def compute_weights(inst: Instance, spec: WeightSpec, gain_spec: GainSpec) -> We
         weights, log_unnorm = _mixture_weights(inst, spec)
     else:
         scores = np.array(evidence_scores(inst.evidence, spec.kind), dtype=np.float64)
-        if spec.kind == "temperature":
-            log_unnorm = scores * (1.0 / spec.tau - 1.0)
-        else:
-            seqs, inverse = distinct_tokens(inst.evidence, gain_spec)
-            lengths = np.array([len(t) for t in seqs], dtype=np.int64)[inverse]
-            # One key per bit-exact (score, length) pair. Calls go in order of
-            # each key's first sample, so the first zero-length sample raises.
-            # Every sort here is stable (return_index), as in the gain matrix:
-            # numpy's default argsort adds about 0.3 MB to a fresh process.
-            bits = scores.view(np.int64)
-            score_ids = np.unique(bits, return_index=True, return_inverse=True)[2]
-            keys = score_ids * (int(lengths.max(initial=0)) + 1) + lengths
-            _, firsts, key_inverse = np.unique(keys, return_index=True, return_inverse=True)
-            corrected = np.empty(len(firsts))
-            for k in np.argsort(firsts, kind="stable").tolist():
-                i = int(firsts[k])
-                corrected[k] = corrected_score(scores[i], int(lengths[i]), spec)
-            log_unnorm = corrected[key_inverse] - scores
-        if np.any(np.isnan(log_unnorm)):
-            raise DegenerateWeightsError("NaN in unnormalized log weights")
-        weights = _normalize_log(log_unnorm)
+        with np.errstate(over="ignore"):
+            if spec.kind == "temperature":
+                log_unnorm = scores * (1.0 / spec.tau - 1.0)
+            else:
+                seqs, inverse = distinct_tokens(inst.evidence, gain_spec)
+                lengths = np.array([len(t) for t in seqs], dtype=np.int64)[inverse]
+                log_unnorm = corrected_score(scores, lengths, spec) - scores
+            if np.any(np.isnan(log_unnorm)):
+                raise DegenerateWeightsError("NaN in unnormalized log weights")
+            weights = _normalize_log(log_unnorm)
     return WeightVector(weights=weights, log_unnormalized=log_unnorm, ess=_ess(weights))

@@ -171,6 +171,14 @@ class TestDumpsBytes:
                 assert want in (ValueError, TypeError)
                 assert outcome(dumps, record) is want
 
+    def test_int_subclass_gives_its_digits(self):
+        class Code(int):
+            def __str__(self):
+                return f"Code({int(self)})"
+
+        assert dumps({"n": Code(7), "xs": [Code(-2), 0.5], "t": (Code(3),)}) == \
+            '{"n":7,"xs":[-2,0.5],"t":[3]}'
+
 
 class TestParsing:
     def test_minimal_instance(self):
@@ -184,6 +192,18 @@ class TestParsing:
             parse_instance_line("not json", 3)
         assert err.value.line == 3
         assert "line 3" in str(err.value)
+
+    def test_overlong_integer_is_a_parse_error(self):
+        for line in ('{"id":"1","evidence":[{"text":"a","score":%s}]}',
+                     '{"id":"1","evidence":[{"text":"a"}],"extra":[1,{"n":-%s}]}'):
+            with pytest.raises(ParseError) as err:
+                parse_instance_line(line % ("7" * 5000), 4)
+            assert str(err.value).startswith("line 4: invalid JSON: ")
+            assert "sys." not in str(err.value)
+        with pytest.raises(ParseError) as err:
+            parse_instance_line('{"id":"1",', 4)
+        assert str(err.value) == \
+            "line 4: invalid JSON: Expecting property name enclosed in double quotes"
 
     def test_missing_text_reports_field(self):
         with pytest.raises(SchemaError) as err:
@@ -381,6 +401,7 @@ class TestDecodeCommand:
         ["--weighting", "temperature", "--tau", "inf"],
         ["--weighting", "temperature", "--tau", "1e-320"],
         ["--weighting", "mixture", "--mixture", "m0=inf,m1=1"],
+        ["--weighting", "mixture", "--mixture", "m0=1e308,m1=1e308"],  # the sum is inf
         ["--beta", "inf"],
     ])
     def test_non_finite_weighting_parameter_is_a_config_error(self, tmp_path, flags):
@@ -558,6 +579,51 @@ class TestDecodeCommand:
         assert (code, err) == (0, [])
         records = [json.loads(line) for line in out.splitlines()]
         assert [r["selected_text"] for r in records] == ["a", "中", "c"]
+
+    EXTERNAL_OK = ('{"id":"ok","evidence":[{"text":"a"},{"text":"b"}],'
+                   '"external_gain":[[0.9,0.1],[0.6,0.2]]}')
+    SCORED_OK = '{"id":"ok","evidence":[{"text":"a b","score":-1.0},{"text":"b","score":-2.5}]}'
+
+    @staticmethod
+    def overflowing_external(big):
+        rows = ",".join([f"[{big},0.0]"] * 11)
+        evidence = ",".join([f'{{"text":"e{i}"}}' for i in range(11)])
+        return ('{"id":"bad","evidence":[%s],"hypotheses":[{"text":"x"},{"text":"y"}],'
+                '"external_gain":[%s]}' % (evidence, rows))
+
+    @pytest.mark.parametrize("argv, bad, error", [
+        (["--metric", "external"], overflowing_external("1.7976931348623157e308"),
+         "line 1: instance 'bad': "),
+        (["--metric", "external"], overflowing_external("-1.7976931348623157e308"),
+         "line 1: instance 'bad': "),
+        (["--weighting", "temperature", "--tau", "0.1"],
+         '{"id":"t","evidence":[{"text":"a","score":-1e308},{"text":"b","score":-1e307}]}', None),
+        (["--weighting", "temperature", "--tau", "0.5"],
+         '{"id":"t","evidence":[{"text":"a","score":-1e308},{"text":"b","score":1e308}]}', None),
+        ([], '{"id":"t","evidence":[{"text":"a","score":%s}]}' % ("9" * 5000),
+         "line 1: invalid JSON: "),
+        ([], '{"id":"t","evidence":[{"text":"a"}],"extra":[-%s]}' % ("1" * 5000),
+         "line 1: invalid JSON: "),
+    ], ids=["external-max", "external-min", "tau-0.1", "tau-0.5", "long-score", "long-extra"])
+    def test_extreme_values_keep_the_line_contract(self, argv, bad, error):
+        # In its own process, where a numpy warning reaches stderr as a CLI
+        # user sees it rather than failing the test run.
+        from mbrkit import cli
+
+        good = self.EXTERNAL_OK if "external" in argv else self.SCORED_OK
+        config = cli.config_from_args(cli.build_parser().parse_args(["decode", *argv]))
+        echo = RawJson(dumps(cli.config_echo(config)))
+        (bad_ok, bad_out), (good_ok, good_out) = (
+            cli._process_line((k, raw), config, cli._decode_record, echo)
+            for k, raw in enumerate((bad, good), start=1))
+        assert good_ok and bad_ok is (error is None)
+        code, out, err = self.run_stdin(["decode", *argv], f"{bad}\n{good}\n".encode())
+        assert out.encode("utf-8") == (bad_out if bad_ok else b"") + good_out
+        assert not any("Warning" in e or "Traceback" in e for e in err)
+        if bad_ok:
+            assert (code, err) == (0, [])
+        else:
+            assert code == 1 and err == [bad_out] and bad_out.startswith(error)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_unexpected_exception_is_a_line_error(self, tmp_path, capsys, monkeypatch, jobs):

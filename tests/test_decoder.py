@@ -11,6 +11,7 @@ from mbrkit import (
     Instance,
     MbrError,
     MissingAnswerError,
+    NonFiniteValueError,
     ShapeMismatchError,
     WeightSpec,
     compute_weights,
@@ -114,6 +115,13 @@ class TestSelect:
         assert select(np.array([0.0, 1e-13]), hyps) == (1, False)
         assert select(np.array([1e6, 1e6 - 5e-10]), hyps) == (0, True)
         assert select(np.zeros(2), hyps) == (0, True)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_gain_rejected(self, bad):
+        hyps = (Candidate(text="x"), Candidate(text="y"))
+        for gains in ([bad, 0.0], [0.0, bad]):
+            with pytest.raises(NonFiniteValueError):
+                select(np.array(gains), hyps)
 
 
 class TestDecode:
@@ -226,6 +234,21 @@ class TestDecode:
         result = decode(inst, GainSpec(kind="external"), UNIFORM)
         assert result.selected_index == 1
         assert result.tie_broken is False
+
+    @pytest.mark.parametrize("big", [1.7976931348623157e308, -1.7976931348623157e308])
+    def test_overflowing_expected_gain_is_an_instance_error(self, big):
+        # Eleven rows of the largest double: the weighted column sum
+        # overflows to +-inf, which no tie rule or serializer can take.
+        inst = Instance(
+            id="big",
+            evidence=tuple(Candidate(text=f"e{i}") for i in range(11)),
+            hypotheses=(Candidate(text="x"), Candidate(text="y")),
+            external_gain=((big, 0.0),) * 11,
+        )
+        with pytest.raises(NonFiniteValueError, match="^instance 'big': "):
+            decode(inst, GainSpec(kind="external"), UNIFORM)
+        with pytest.raises(NonFiniteValueError, match="^instance 'big': "):
+            range_vote(inst, GainSpec(kind="external"))
 
     def test_dedup_hypotheses_changes_slate(self):
         inst = Instance(

@@ -26,7 +26,6 @@ from mbrkit import (
     ZeroLengthCandidateError,
     candidate_tokens,
     compute_weights,
-    corrected_score,
     gain_matrix,
     ngram_counts,
     pair_gain,
@@ -34,7 +33,7 @@ from mbrkit import (
     tokenize,
     validate_instance,
 )
-from mbrkit import metrics, weighting
+from mbrkit import metrics
 
 ROUGE1 = GainSpec(kind="rouge_n_kernel", n=1)
 ROUGE2 = GainSpec(kind="rouge_n_kernel", n=2)
@@ -688,7 +687,7 @@ class TestMultisetCompression:
             assert gain_matrix(as_lists, spec).tobytes() == want.tobytes()
             assert want[0, 2] == want[2, 0] == 1.0
 
-    def test_length_weights_equal_per_sample_lengths(self, monkeypatch):
+    def test_length_weights_equal_per_sample_lengths(self):
         rng = np.random.default_rng(63)
         pool = tuple(c for c in DUPLICATE_POOL if c.text and c.tokens != ())
         # Scores repeat, and 0.0 and -0.0 are equal but not the same bits.
@@ -698,41 +697,52 @@ class TestMultisetCompression:
                                          rng.integers(0, len(score_pool), size=64)))
         inst = Instance(id="t", evidence=evidence)
         scores = [c.score for c in evidence]
-        calls = []
+        powers = []
 
-        def counted(score, length, spec):
-            calls.append((score, length))
-            return corrected_score(score, length, spec)
+        class Beta(float):
+            """A beta that counts the powers taken of it."""
 
-        monkeypatch.setattr(weighting, "corrected_score", counted)
-        for wspec in (WeightSpec(kind="length_norm", beta=1.0),
-                      WeightSpec(kind="length_norm", beta=-0.5),
+            def __rpow__(self, base):
+                powers.append(base)
+                return float.__rpow__(self, base)
+
+        def reference(score, length, spec):
+            """The scalar formula in plain Python floats, independent of numpy."""
+            if spec.kind == "length_reward":
+                return score + spec.gamma * length
+            try:
+                return score / float(length) ** spec.beta
+            except OverflowError:
+                return score / math.inf
+
+        for wspec in (WeightSpec(kind="length_norm", beta=Beta(1.0)),
+                      WeightSpec(kind="length_norm", beta=Beta(-0.5)),
                       WeightSpec(kind="length_reward", gamma=0.5)):
             for gspec in (ROUGE1, GainSpec(lowercase=False, tokenizer="unicode_word")):
                 lengths = [len(candidate_tokens(c, gspec)) for c in evidence]
-                corrected = [corrected_score(s, n, wspec) for s, n in zip(scores, lengths)]
+                corrected = [reference(s, n, wspec) for s, n in zip(scores, lengths)]
                 log_w = np.array(corrected) - np.array(scores)
                 w = np.exp(log_w - np.max(log_w))
                 w = w / np.sum(w)
-                calls.clear()
+                powers.clear()
                 got = compute_weights(inst, wspec, gspec)
                 assert got.weights.tobytes() == w.tobytes()
                 assert got.log_unnormalized.tobytes() == log_w.tobytes()
-                # One call per distinct bit-exact (score, length) pair.
-                pairs = {(np.float64(s).tobytes(), n) for s, n in zip(scores, lengths)}
-                assert len(calls) == len(pairs) < len(evidence)
-        # The first zero-length sample raises, as in a per-sample loop.
+                # One power per distinct length, and none for a reward.
+                if wspec.kind == "length_norm":
+                    assert sorted(powers) == sorted(map(float, set(lengths)))
+                    assert len(powers) < len(evidence)
+                else:
+                    assert powers == []
+        # A zero-length sample anywhere raises before any power is taken.
         empty = Candidate(text="", tokens=(), score=-7.0)
-        for wspec in (WeightSpec(kind="length_norm", beta=1.0),
+        for wspec in (WeightSpec(kind="length_norm", beta=Beta(1.0)),
                       WeightSpec(kind="length_reward", gamma=0.5)):
-            calls.clear()
+            powers.clear()
             with pytest.raises(ZeroLengthCandidateError):
                 compute_weights(Instance(id="t", evidence=evidence[:5] + (empty,) * 2
                                          + evidence), wspec, ROUGE1)
-            assert calls[-1] == (-7.0, 0)
-            assert len(calls) == len({(np.float64(c.score).tobytes(),
-                                       len(candidate_tokens(c, ROUGE1)))
-                                      for c in evidence[:5]}) + 1
+            assert powers == []
 
     SHARED_SPECS = (EXACT, GainSpec(kind="answer_match"), ROUGE1, ROUGE2, BLEU4)
 

@@ -83,6 +83,7 @@ class TestWeightSpec:
         {"kind": "temperature", "tau": 1e-320},  # 1 / tau is inf
         {"kind": "mixture", "mixture_weights": {"m0": math.inf, "m1": 1.0}},
         {"kind": "mixture", "mixture_weights": {"m0": math.nan, "m1": 1.0}},
+        {"kind": "mixture", "mixture_weights": {"m0": 1e308, "m1": 1e308}},  # the sum is inf
         # The config echo carries every parameter, whatever the kind.
         {"kind": "uniform", "beta": math.inf},
         {"kind": "uniform", "tau": math.nan},

@@ -288,6 +288,15 @@ class TestInvariants:
         sharpened = compute_weights(inst, WeightSpec(kind="temperature", tau=0.5), GAIN)
         assert sharpened.ess < 2.0
 
+    @pytest.mark.parametrize("tau, scores", [(0.1, (-1e308, -1e307)), (0.5, (-1e308, 1e308))])
+    def test_extreme_scores_weigh_as_ieee_arithmetic(self, tau, scores):
+        # s * (1/tau - 1) and the max-subtraction overflow to -inf, whose
+        # exp is 0: all the mass goes to the larger score, with no warning.
+        inst = instance([scored("a", scores[0]), scored("b", scores[1])])
+        wv = compute_weights(inst, WeightSpec(kind="temperature", tau=tau), GAIN)
+        assert wv.weights.tolist() == [0.0, 1.0]
+        assert wv.ess == 1.0
+
     def test_extreme_temperature_concentrates(self):
         inst = instance([scored("a", -1.0), scored("b", -30.0)])
         wv = compute_weights(inst, WeightSpec(kind="temperature", tau=0.01), GAIN)
