@@ -5,7 +5,8 @@ Subcommands: `decode` runs the full pipeline over a JSONL instance file;
 rescoring workflows; `fixtures` writes the reproducible toy instance set
 with golden decode outputs; `selfcheck` runs the built-in invariant
 suite. Exit codes: 0 success, 1 at least one instance failed (the rest
-are still processed), 2 configuration error.
+are still processed) or the reader closed standard output, 2
+configuration error, a path that cannot be opened included.
 """
 
 from __future__ import annotations
@@ -105,9 +106,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     jobs = args.jobs
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    # Output lines are written while the input is still being read.
-    if args.input and args.output and os.path.exists(args.output) \
-            and os.path.samefile(args.input, args.output):
+    # Output lines are written while the input is still being read. A
+    # missing input is reported when it is opened.
+    if args.input and args.output and os.path.exists(args.input) \
+            and os.path.exists(args.output) and os.path.samefile(args.input, args.output):
         raise ConfigError("--output must not be the --input file")
     return RunConfig(
         gain=gain,
@@ -288,6 +290,15 @@ def _windowed_map(pool: Executor, fn, items, window: int, *args):
             future.cancel()
 
 
+def _open_path(flag: str, path: str | int, mode: str, **kwargs):
+    """``open(path, mode)``; a path that cannot be opened is a ConfigError
+    naming ``flag``, ``path`` and the reason."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"{flag} {path}: {exc.strerror or exc}") from None
+
+
 def _run_batch(config: RunConfig, record_fn, echo: dict) -> int:
     """Stream the input through ``_process_line``, writing each outcome in
     input order as it arrives; results go to the output, errors to stderr.
@@ -302,8 +313,8 @@ def _run_batch(config: RunConfig, record_fn, echo: dict) -> int:
     with ExitStack() as stack:
         # Bytes that are not UTF-8 decode to lone surrogates, which
         # parse_instance_line reports as a line error.
-        source = stack.enter_context(open(
-            sys.stdin.fileno() if config.input is None else config.input,
+        source = stack.enter_context(_open_path(
+            "--input", sys.stdin.fileno() if config.input is None else config.input, "r",
             encoding="utf-8", errors="surrogateescape", closefd=config.input is not None,
         ))
         # A terminal still sees each result as soon as it is written.
@@ -312,7 +323,7 @@ def _run_batch(config: RunConfig, record_fn, echo: dict) -> int:
             sys.stdout.flush()
             sink = sys.stdout.buffer
         else:
-            sink = stack.enter_context(open(config.output, "wb"))
+            sink = stack.enter_context(_open_path("--output", config.output, "wb"))
         lines = iter_lines(source)
         if config.jobs > 1:
             methods = mp.get_all_start_methods()
@@ -348,9 +359,12 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 def cmd_fixtures(args: argparse.Namespace) -> int:
     """Write toy.jsonl, then decode it into each golden file as ``mbrkit decode`` does."""
-    os.makedirs(os.path.join(args.output, "golden"), exist_ok=True)
+    try:
+        os.makedirs(os.path.join(args.output, "golden"), exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--output {args.output}: {exc.strerror or exc}") from None
     toy_path = os.path.join(args.output, "toy.jsonl")
-    with open(toy_path, "w", encoding="utf-8", newline="\n") as stream:
+    with _open_path("--output", toy_path, "w", encoding="utf-8", newline="\n") as stream:
         write_instances(build_fixture_instances(seed=args.seed), stream)
     print(toy_path)
     failed = 0
@@ -380,6 +394,11 @@ def run(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed standard output: what is still buffered for it
+        # goes to the null device, so the interpreter's last flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 def main() -> None:

@@ -112,7 +112,6 @@ def _parse_candidates(value, line: int, side: str) -> tuple[Candidate, ...]:
         if tokens is not None:
             if not isinstance(tokens, list) or any(not isinstance(t, str) for t in tokens):
                 raise SchemaError(line, f"{side}[{i}].tokens", "must be an array of strings")
-            tokens = tuple(tokens)
         score = obj.get("score")
         if score is not None:
             score = _parse_number(score, line, "{}[{}].score", side, i)
@@ -179,7 +178,7 @@ def read_instances(stream: IO[str]) -> list[Instance]:
 def _candidate_record(c: Candidate) -> dict:
     record: dict = {"text": c.text}
     if c.tokens is not None:
-        record["tokens"] = list(c.tokens)
+        record["tokens"] = c.tokens
     if c.score is not None:
         record["score"] = c.score
     if c.answer is not None:
@@ -199,7 +198,7 @@ def write_instances(instances: Iterable[Instance], stream: IO[str]) -> None:
         if inst.hypotheses is not None:
             record["hypotheses"] = [_candidate_record(c) for c in inst.hypotheses]
         if inst.external_gain is not None:
-            record["external_gain"] = [list(row) for row in inst.external_gain]
+            record["external_gain"] = inst.external_gain
         stream.write(dumps(record) + "\n")
 
 
@@ -208,8 +207,8 @@ def result_record(inst_id: str, result: DecodeResult, config_echo: dict) -> dict
         "id": inst_id,
         "selected_index": result.selected_index,
         "selected_text": result.selected_text,
-        "gain_estimates": list(result.gain_estimates),
-        "weights": list(result.weights),
+        "gain_estimates": result.gain_estimates,
+        "weights": result.weights,
         "tie_broken": result.tie_broken,
         "config_echo": config_echo,
     }

@@ -71,8 +71,8 @@ def candidate_tokens(c: Candidate, spec: GainSpec) -> tuple[str, ...]:
     if c.tokens is not None:
         if spec.lowercase:
             return tuple(t.lower() for t in c.tokens)
-        return tuple(c.tokens)
-    return tuple(tokenize(c.text, spec))
+        return c.tokens
+    return tokenize(c.text, spec)
 
 
 def distinct_tokens(cands, spec: GainSpec) -> tuple[list[tuple[str, ...]], np.ndarray]:
@@ -87,8 +87,7 @@ def distinct_tokens(cands, spec: GainSpec) -> tuple[list[tuple[str, ...]], np.nd
     seqs: list[tuple[str, ...]] = []
     inverse: list[int] = []
     for c in cands:
-        # An unvalidated candidate may carry its tokens as a list.
-        j = ids.setdefault((c.text, c.tokens if c.tokens is None else tuple(c.tokens)), len(ids))
+        j = ids.setdefault((c.text, c.tokens), len(ids))
         if j == len(seqs):
             seqs.append(candidate_tokens(c, spec))
         inverse.append(j)
@@ -330,7 +329,7 @@ def _rouge_finish(ev_lens: np.ndarray, hyp_lens: np.ndarray, matches: list[np.nd
 def _bleu_finish(ref_lens: np.ndarray, hyp_lens: np.ndarray, correct: list[np.ndarray],
                  max_order: int) -> np.ndarray:
     """Sentence BLEU of every (reference, hypothesis) pair of rows from the
-    lengths and the clipped matches of each order.
+    lengths and the clipped matches of orders 1..``len(correct)``.
 
     Array arithmetic in the scalar order of operations: each precision is
     ``matches / total``, or ``1 / (smooth * total)`` with ``smooth``
@@ -340,22 +339,26 @@ def _bleu_finish(ref_lens: np.ndarray, hyp_lens: np.ndarray, correct: list[np.nd
     libm's (``math``), whose results numpy's vectorized versions do not
     always reproduce, each called once per distinct value. An order the
     hypothesis is too short for has precision 1, log 0.0, and adds
-    nothing; an empty hypothesis scores 0.
+    nothing, so ``correct`` may stop at the longest hypothesis. Past about
+    a thousand zero-match orders the smoothing overflows, the precision is
+    0.0 and its log -inf, and the cell scores exp(-inf) == 0.0; an empty
+    hypothesis scores 0.
     """
     hyp_f = hyp_lens.astype(np.float64)
-    orders = np.arange(1, max_order + 1)[:, None]
-    totals = hyp_f - orders + 1.0  # (max_order, width)
+    orders = np.arange(1, len(correct) + 1)[:, None]
+    totals = hyp_f - orders + 1.0  # (orders, width)
     supported = totals > 0.0
     safe_totals = np.where(supported, totals, 1.0)
     smooth = np.ones((len(ref_lens), len(hyp_lens)))
     log_sum = np.zeros_like(smooth)  # 0.0 + x == x: no log here is -0.0
-    for n in range(max_order):
-        zero = correct[n] == 0.0
-        np.multiply(smooth, 2.0, out=smooth, where=zero)
-        precision = correct[n] / safe_totals[n]
-        np.divide(1.0, smooth * safe_totals[n], out=precision, where=zero)
+    for n, matches in enumerate(correct):
+        zero = matches == 0.0
+        precision = matches / safe_totals[n]
+        with np.errstate(over="ignore"):
+            np.multiply(smooth, 2.0, out=smooth, where=zero)
+            np.divide(1.0, smooth * safe_totals[n], out=precision, where=zero)
         precision[:, ~supported[n]] = 1.0
-        log_sum += _libm_per_distinct(math.log, precision)
+        log_sum += _libm_per_distinct(lambda p: math.log(p) if p else -math.inf, precision)
     log_sum /= np.minimum(np.maximum(hyp_f, 1.0), max_order)  # the effective order
     score = _libm_per_distinct(math.exp, log_sum)
     ref_f = ref_lens[:, None].astype(np.float64)
@@ -373,13 +376,21 @@ def _ngram_gains(ev_keys: list, hyp_keys: list, spec: GainSpec, jobs: int) -> np
     ``_PAIR_CHUNK // (largest row cost of any order)`` evidence rows, or
     one row, fills the clipped matches of every order and is finished into
     its output rows; with ``jobs`` > 1 the blocks run on one thread pool.
+    No sequence has a gram of an order past the longest sequence on either
+    side, so no such order is built: at that ROUGE order every pair has two
+    empty count vectors and gains 1.0, and such a BLEU order adds log 1 ==
+    0.0 to every cell.
     """
     shared = hyp_keys is ev_keys
     height, width = len(ev_keys), len(hyp_keys)
     ev_lens = np.fromiter(map(len, ev_keys), np.int64, height)
     hyp_lens = ev_lens if shared else np.fromiter(map(len, hyp_keys), np.int64, width)
+    longest = int(max(ev_lens.max(initial=0), hyp_lens.max(initial=0)))
     rouge = spec.kind == "rouge_n_kernel"
-    order = spec.n if rouge else spec.max_order
+    top = spec.n if rouge else spec.max_order
+    if rouge and top > longest:
+        return np.ones((height, width))
+    order = top if rouge else max(1, min(top, longest))
     finish = _rouge_finish if rouge else _bleu_finish
     postings = enumerate(_ngram_postings(ev_keys, hyp_keys, order), 1)
     costs, fills = zip(*(_clipped_matches(ev, hyp, height, width)
@@ -390,7 +401,7 @@ def _ngram_gains(ev_keys: list, hyp_keys: list, spec: GainSpec, jobs: int) -> np
     def run(first: int) -> None:
         stop = min(first + step, height)
         matches = [fill(first, stop) for fill in fills]
-        out[first:stop] = finish(ev_lens[first:stop], hyp_lens, matches, order)
+        out[first:stop] = finish(ev_lens[first:stop], hyp_lens, matches, top)
 
     blocks = range(0, height, step)
     if jobs < 2 or len(blocks) < 2:

@@ -2,15 +2,16 @@
 
 All types are plain frozen dataclasses: structurally comparable, and
 safe to share across parallel workers once validated.
-Invariant enforcement lives in :func:`validate_instance`, not in the
-constructors, so that IO layers can build partially-checked objects and
-report schema problems with their own context.
+Constructors normalize: a :class:`Candidate` holds its tokens as a tuple
+from construction. The invariant checks stay in :func:`validate_instance`,
+not in the constructors, so that IO layers can build partially-checked
+objects and report schema problems with their own context.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import (
     ConfigError,
@@ -36,8 +37,10 @@ SCORE_WEIGHT_KINDS = ("temperature", "length_norm", "length_reward")
 class Candidate:
     """One sampled output.
 
-    ``tokens`` are authoritative once present; ``text`` is for display and
-    IO. ``score`` is the natural-log probability of the sequence under its
+    ``tokens`` are authoritative once present, and are stored as a tuple
+    whatever sequence of strings is given (``None`` stays ``None``), so
+    equal candidates hash alike; ``text`` is for display and IO.
+    ``score`` is the natural-log probability of the sequence under its
     generator (nats); it is optional because uniform weighting needs no
     probabilities. ``answer`` is a pre-extracted final answer for
     answer-match gains; ``model_id`` tags the generator for mixture
@@ -49,6 +52,10 @@ class Candidate:
     score: float | None = None
     answer: str | None = None
     model_id: str | None = None
+
+    def __post_init__(self):
+        if self.tokens is not None and not isinstance(self.tokens, tuple):
+            object.__setattr__(self, "tokens", tuple(self.tokens))
 
 
 @dataclass(frozen=True)
@@ -187,12 +194,6 @@ def evidence_model_ids(
     return [c.model_id for c in evidence]
 
 
-def _coerce_candidate(c: Candidate) -> Candidate:
-    if c.tokens is not None and not isinstance(c.tokens, tuple):
-        return replace(c, tokens=tuple(c.tokens))
-    return c
-
-
 def require_external_gain(inst: Instance, gain: GainSpec) -> tuple | None:
     """The instance's external gain matrix, which an ``external`` gain requires."""
     if gain.kind == "external" and inst.external_gain is None:
@@ -211,8 +212,10 @@ def validate_instance(
     """Check all invariants and return a normalized instance.
 
     Defaults hypotheses to the evidence set (same order, same
-    multiplicity) when absent, coerces sequences to tuples, and verifies
-    the field requirements of the given gain and weighting specs.
+    multiplicity) when absent, holds both candidate sequences as tuples
+    (each candidate already holds its tokens as one), coerces external
+    gains to floats, and verifies the field requirements of the given
+    gain and weighting specs.
     Idempotent: validating a validated instance returns an equal instance.
 
     With ``dedup_hypotheses`` the hypothesis list keeps the first of each
@@ -220,14 +223,11 @@ def validate_instance(
     :func:`mbrkit.metrics.distinct_tokens`; external gain columns are
     sliced to match. Off by default because it changes tie-break outcomes.
     """
-    evidence = tuple(_coerce_candidate(c) for c in inst.evidence)
+    evidence = tuple(inst.evidence)
     if not evidence:
         raise EmptyEvidenceError("no evidence candidates")
 
-    if inst.hypotheses is None:
-        hypotheses = evidence
-    else:
-        hypotheses = tuple(_coerce_candidate(c) for c in inst.hypotheses)
+    hypotheses = evidence if inst.hypotheses is None else tuple(inst.hypotheses)
     if not hypotheses:
         raise EmptyHypothesesError("empty hypothesis set")
 

@@ -77,6 +77,8 @@ def corrected_score(score: float | np.ndarray, length: int | np.ndarray,
 
 def _normalize_log(log_w: np.ndarray) -> np.ndarray:
     peak = np.max(log_w)
+    if peak == math.inf:  # the +inf weights outweigh the rest and share the mass
+        return (log_w == peak) / np.count_nonzero(log_w == peak)
     if not np.isfinite(peak):
         raise DegenerateWeightsError(
             "all unnormalized weights are zero or undefined; cannot normalize"
@@ -126,7 +128,8 @@ def compute_weights(inst: Instance, spec: WeightSpec, gain_spec: GainSpec) -> We
     Score-based kinds normalize in the log domain with max-subtraction;
     duplicates in the evidence multiset keep their own per-sample weight.
     Extreme finite scores overflow to +-inf as IEEE arithmetic does, with
-    no warning, and a nan log weight is a DegenerateWeightsError. The
+    no warning; the log weights that are +inf, if any, share all the mass
+    equally, and a nan log weight is a DegenerateWeightsError. The
     length kinds take token counts from
     :func:`mbrkit.metrics.distinct_tokens`, so each distinct
     ``(text, tokens)`` candidate is tokenized once, as in the gain matrix,

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -591,6 +592,13 @@ class TestDecodeCommand:
         return ('{"id":"bad","evidence":[%s],"hypotheses":[{"text":"x"},{"text":"y"}],'
                 '"external_gain":[%s]}' % (evidence, rows))
 
+    @staticmethod
+    def disjoint_long_pair(length):
+        words = (" ".join(f"{w}{i}" for i in range(length)) for w in "ab")
+        return '{"id":"t","evidence":[%s]}' % ",".join(f'{{"text":"{t}"}}' for t in words)
+
+    SHORT_PAIR = '{"id":"t","evidence":[{"text":"a b c"},{"text":"a b"}]}'
+
     @pytest.mark.parametrize("argv, bad, error", [
         (["--metric", "external"], overflowing_external("1.7976931348623157e308"),
          "line 1: instance 'bad': "),
@@ -604,7 +612,13 @@ class TestDecodeCommand:
          "line 1: invalid JSON: "),
         ([], '{"id":"t","evidence":[{"text":"a"}],"extra":[-%s]}' % ("1" * 5000),
          "line 1: invalid JSON: "),
-    ], ids=["external-max", "external-min", "tau-0.1", "tau-0.5", "long-score", "long-extra"])
+        (["--weighting", "length-reward", "--gamma", "1e308"],
+         '{"id":"t","evidence":[{"text":"a b c","score":-1.0},{"text":"b","score":-2.0}]}', None),
+        (["--metric", "bleu", "--bleu-order", "200000"], SHORT_PAIR, None),
+        (["--metric", "rouge", "--ngram", "200000"], SHORT_PAIR, None),
+        (["--metric", "bleu", "--bleu-order", "1100"], disjoint_long_pair(1100), None),
+    ], ids=["external-max", "external-min", "tau-0.1", "tau-0.5", "long-score", "long-extra",
+            "gamma-1e308", "bleu-order-200000", "ngram-200000", "bleu-1100-disjoint"])
     def test_extreme_values_keep_the_line_contract(self, argv, bad, error):
         # In its own process, where a numpy warning reaches stderr as a CLI
         # user sees it rather than failing the test run.
@@ -617,13 +631,50 @@ class TestDecodeCommand:
             cli._process_line((k, raw), config, cli._decode_record, echo)
             for k, raw in enumerate((bad, good), start=1))
         assert good_ok and bad_ok is (error is None)
+        start = time.monotonic()
         code, out, err = self.run_stdin(["decode", *argv], f"{bad}\n{good}\n".encode())
+        assert time.monotonic() - start < 10.0
         assert out.encode("utf-8") == (bad_out if bad_ok else b"") + good_out
         assert not any("Warning" in e or "Traceback" in e for e in err)
         if bad_ok:
             assert (code, err) == (0, [])
         else:
             assert code == 1 and err == [bad_out] and bad_out.startswith(error)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["decode", "--input", "{missing}"], "--input"),
+        (["decode", "--input", "{missing}", "--output", "{file}"], "--input"),
+        (["decode", "--input", "{dir}"], "--input"),
+        (["decode", "--input", "{file}", "--output", "{missing}/out.jsonl"], "--output"),
+        (["matrix", "--input", "{missing}"], "--input"),
+        (["fixtures", "--output", "{file}/x"], "--output"),
+    ], ids=["missing-input", "missing-input-existing-output", "directory-input",
+            "output-in-missing-directory", "matrix-missing-input", "fixtures-under-a-file"])
+    def test_unopenable_path_is_a_config_error(self, tmp_path, argv, flag):
+        existing = self.write_input(tmp_path, [self.SCORED_OK])
+        paths = {"missing": tmp_path / "missing.jsonl", "file": existing, "dir": tmp_path}
+        argv = [arg.format(**paths) for arg in argv]
+        code, out, err = self.run_stdin(argv, b"")
+        assert (code, out) == (2, "")
+        path = argv[argv.index(flag) + 1]
+        assert len(err) == 1 and err[0].startswith(f"error: {flag} {path}: ")
+        assert existing.read_text(encoding="utf-8") == self.SCORED_OK + "\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_closed_output_pipe_ends_quietly(self, tmp_path, jobs):
+        # About 1 MB of results, far more than a pipe holds, so the CLI is
+        # still writing when the reader goes away.
+        line = '{"id":"%d","evidence":[{"text":"a","answer":"1"},{"text":"b","answer":"2"}]}'
+        inp = self.write_input(tmp_path, [line % k for k in range(4000)])
+        env = {**os.environ, "PYTHONPATH": str(Path(mbrkit.__file__).resolve().parents[1])}
+        with subprocess.Popen(
+                [sys.executable, "-m", "mbrkit", "decode", "--metric", "answer", "--jobs", jobs,
+                 "--input", str(inp)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert len(proc.stdout.read(50)) == 50
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+        assert (proc.returncode, err) == (1, "")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_unexpected_exception_is_a_line_error(self, tmp_path, capsys, monkeypatch, jobs):

@@ -254,6 +254,20 @@ class TestRougeKernel:
             assert pair_gain(a, a, spec) == 1.0
             assert pair_gain(a, a, spec) >= pair_gain(a, b, spec)
 
+    def test_order_past_every_sequence_is_all_ones_without_postings(self, monkeypatch):
+        # Both count vectors of every pair are empty, and two empty vectors
+        # are identical, so no n-gram of any order needs building.
+        inst = token_instance((("a", "b", "c"), ("a", "b"), ()), (("a", "b"), ("c",)))
+        spec = GainSpec(kind="rouge_n_kernel", n=200000)
+        assert rouge_kernel(ngram_counts(("a", "b", "c"), 200000),
+                            ngram_counts(("a", "b"), 200000)) == 1.0
+
+        def forbidden(*args):
+            raise AssertionError("postings built")
+
+        monkeypatch.setattr(metrics, "_ngram_postings", forbidden)
+        assert gain_matrix(inst, spec).tolist() == [[1.0, 1.0]] * 3
+
 
 class TestMatchGains:
     def test_exact_match_normalizes_whitespace(self):
@@ -366,6 +380,29 @@ class TestSentenceBleu:
         disjoint = pair_gain(token_cand(edges[5]), token_cand(edges[4]), BLEU4)
         assert disjoint == math.exp(sum(math.log(1.0 / (2.0 ** k * (6 - k)))
                                         for k in range(1, 5)) / 4)
+
+    def test_orders_past_the_longest_sequence_change_nothing(self):
+        # Every order longer than both sides is unsupported for every
+        # hypothesis, so 200000 orders score as the 5 the longest supports.
+        rng = np.random.default_rng(14)
+        seqs = ((), ("a",), ("a", "b", "c", "d", "e")) + tuple(
+            random_tokens(rng, vocab_size=6, max_len=5) for _ in range(12))
+        inst = token_instance(seqs, seqs)
+        huge = GainSpec(kind="sentence_bleu", max_order=200000)
+        got = gain_matrix(inst, huge)
+        assert got.tobytes() == gain_matrix(inst, GainSpec(kind="sentence_bleu",
+                                                           max_order=5)).tobytes()
+        assert got.tolist() == [[reference_sentence_bleu(h, r, 200000) for h in seqs]
+                                for r in seqs]
+
+    def test_smoothing_past_the_double_range_scores_zero(self):
+        # 1100 zero-match orders double the smoothing past 2**1024: the
+        # precision is 0.0, its log -inf, and the score exp(-inf) = 0.0.
+        a = token_cand(tuple(f"a{i}" for i in range(1100)))
+        b = token_cand(tuple(f"b{i}" for i in range(1100)))
+        spec = GainSpec(kind="sentence_bleu", max_order=1100)
+        assert pair_gain(a, b, spec) == 0.0
+        assert pair_gain(a, a, spec) == 1.0
 
     def test_finish_uses_libm_not_numpy_log_exp(self, monkeypatch):
         # numpy's vectorized log and exp differ from libm's in the last bit

@@ -1,5 +1,6 @@
 """Tests for domain types and instance validation."""
 
+import dataclasses
 import math
 
 import pytest
@@ -28,6 +29,19 @@ def make_instance(texts=("a", "a", "b"), **kwargs):
         evidence=tuple(Candidate(text=t, tokens=tuple(t.split())) for t in texts),
         **kwargs,
     )
+
+
+class TestCandidate:
+    def test_tokens_are_a_tuple_from_construction(self):
+        c = Candidate(text="a b", tokens=["a", "b"])
+        assert type(c.tokens) is tuple and c.tokens == ("a", "b")
+        twin = Candidate(text="a b", tokens=("a", "b"))
+        assert c == twin and hash(c) == hash(twin)
+        replaced = dataclasses.replace(twin, tokens=["b", "a"])
+        assert type(replaced.tokens) is tuple and replaced.tokens == ("b", "a")
+        assert Candidate("a", iter(["a"])).tokens == ("a",)
+        assert Candidate(text="a").tokens is None
+        assert Candidate(text="a b", tokens=twin.tokens).tokens is twin.tokens
 
 
 class TestGainSpec:

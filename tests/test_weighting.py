@@ -21,6 +21,7 @@ from mbrkit import (
     corrected_score,
     decode,
 )
+from mbrkit import weighting
 
 GAIN = GainSpec()
 
@@ -296,6 +297,20 @@ class TestInvariants:
         wv = compute_weights(inst, WeightSpec(kind="temperature", tau=tau), GAIN)
         assert wv.weights.tolist() == [0.0, 1.0]
         assert wv.ess == 1.0
+
+    def test_infinite_log_weights_share_the_mass(self):
+        # 3 * 1e308 overflows to +inf: the target puts all its mass on the
+        # longest candidates, equally, rather than on none of them.
+        spec = WeightSpec(kind="length_reward", gamma=1e308)
+        for texts, want in [(("a b c", "b"), [1.0, 0.0]),
+                            (("a b c", "x y z", "b"), [0.5, 0.5, 0.0])]:
+            inst = instance([scored(t, -1.0 - k) for k, t in enumerate(texts)])
+            assert compute_weights(inst, spec, GAIN).weights.tolist() == want
+            assert decode(inst, GAIN, spec).weights == tuple(want)
+        # A peak of -inf or nan still has nothing to normalize.
+        for log_w in ([-math.inf, -math.inf], [math.nan, 0.0]):
+            with pytest.raises(DegenerateWeightsError):
+                weighting._normalize_log(np.array(log_w))
 
     def test_extreme_temperature_concentrates(self):
         inst = instance([scored("a", -1.0), scored("b", -30.0)])
