@@ -6,7 +6,8 @@ rescoring workflows; `fixtures` writes the reproducible toy instance set
 with golden decode outputs; `selfcheck` runs the built-in invariant
 suite. Exit codes: 0 success, 1 at least one instance failed (the rest
 are still processed) or the reader closed standard output, 2
-configuration error, a path that cannot be opened included.
+configuration error, a path that cannot be opened or a standard stream
+closed at start and not replaced by a path included.
 """
 
 from __future__ import annotations
@@ -309,6 +310,11 @@ def _run_batch(config: RunConfig, record_fn, echo: dict) -> int:
     ``echo`` is the same on every line, so it is serialized once here.
     """
     echo = RawJson(dumps(echo))
+    # A standard stream closed when the process started is None.
+    if config.input is None and sys.stdin is None:
+        raise ConfigError("standard input is closed; name a file with --input")
+    if config.output is None and sys.stdout is None:
+        raise ConfigError("standard output is closed; name a file with --output")
     failed = 0
     with ExitStack() as stack:
         # Bytes that are not UTF-8 decode to lone surrogates, which

@@ -76,16 +76,20 @@ def select(
     """
     if tie_break not in TIE_BREAKS:
         raise MbrError(f"unknown tie_break {tie_break!r}")
-    gains = np.asarray(gains, dtype=float)
-    if gains.size == 0:
+    # Python floats: the same IEEE abs, max, product, difference and
+    # comparisons as numpy's, without its fixed cost per call on a short
+    # vector. Python's max skips a nan after the largest value, so
+    # non-finite gains are rejected first.
+    values = np.asarray(gains, dtype=float).ravel().tolist()
+    if not values:
         raise MbrError("cannot select from an empty gain vector")
-    scale = np.abs(gains).max()
-    if not math.isfinite(scale):
-        i = int(np.flatnonzero(~np.isfinite(gains))[0])
-        raise NonFiniteValueError(f"hypotheses[{i}] has non-finite expected gain {gains[i]}")
-    tied = np.flatnonzero(gains >= gains.max() - TIE_ATOL * scale)
+    if not all(map(math.isfinite, values)):
+        i = next(i for i, g in enumerate(values) if not math.isfinite(g))
+        raise NonFiniteValueError(f"hypotheses[{i}] has non-finite expected gain {values[i]}")
+    floor = max(values) - TIE_ATOL * max(map(abs, values))
+    tied = [i for i, g in enumerate(values) if g >= floor]
     if len(tied) == 1 or tie_break == "first":
-        return int(tied[0]), len(tied) > 1
+        return tied[0], len(tied) > 1
     if tie_break == "highest_score":
         def key(i: int) -> float:
             score = hypotheses[i].score
@@ -95,8 +99,7 @@ def select(
 
         def key(i: int) -> float:
             return float(len(candidate_tokens(hypotheses[i], spec)))
-    best = max(tied, key=lambda i: (key(i), -i))
-    return int(best), True
+    return max(tied, key=lambda i: (key(i), -i)), True
 
 
 def _decode_validated(

@@ -7,10 +7,11 @@ bytes must be reproducible across runs, platforms, and worker counts.
 The emitter looks a value's type up in one type table, a subclass by
 its nearest base. Strings and keys are escaped by
 ``json.encoder.encode_basestring``, the function ``json.dumps`` itself
-uses with ``ensure_ascii=False``, and an array of plain floats is joined
-in one pass. Parsing builds a field's location only for its error, and
-reports any JSON the decoder rejects, an over-long integer included, as
-a ParseError.
+uses with ``ensure_ascii=False``, and an array of plain finite floats is
+one ``%`` format of ``"%.17g"`` per element, the same text as
+:func:`format_float` gives each. Parsing builds a field's location only
+for its error, and reports any JSON the decoder rejects, an over-long
+integer included, as a ParseError.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from json.encoder import encode_basestring
 from typing import IO, Iterable, Iterator
 
 from .errors import ParseError, SchemaError
-from .types import Candidate, DecodeResult, Instance
+from .types import Candidate, DecodeResult, Instance, _candidate
 
 
 def format_float(x: float) -> str:
@@ -50,7 +51,10 @@ def _dumps_dict(value: dict) -> str:
 
 def _dumps_array(value) -> str:
     if _FLOAT_ONLY.issuperset(map(type, value)):
-        return "[" + ",".join(map(format_float, value)) + "]"
+        if all(map(math.isfinite, value)):
+            # "%.17g" is format(x, ".17g"): one conversion for the array.
+            return "[" + ("%.17g," * len(value))[:-1] % tuple(value) + "]"
+        return "[" + ",".join(map(format_float, value)) + "]"  # raises at the first
     return "[" + ",".join(map(dumps, value)) + "]"
 
 
@@ -121,8 +125,7 @@ def _parse_candidates(value, line: int, side: str) -> tuple[Candidate, ...]:
         model_id = obj.get("model_id")
         if model_id is not None and not isinstance(model_id, str):
             raise SchemaError(line, f"{side}[{i}].model_id", "must be a string")
-        # Positional, in field order: cheaper than keywords on the hot path.
-        parsed.append(Candidate(text, tokens, score, answer, model_id))
+        parsed.append(_candidate(text, tokens, score, answer, model_id))
     return tuple(parsed)
 
 

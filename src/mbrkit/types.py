@@ -3,7 +3,10 @@
 All types are plain frozen dataclasses: structurally comparable, and
 safe to share across parallel workers once validated.
 Constructors normalize: a :class:`Candidate` holds its tokens as a tuple
-from construction. The invariant checks stay in :func:`validate_instance`,
+from construction, by one rule (:func:`_tokens_tuple`) shared with
+:func:`_candidate`, the parser's fast constructor, which fills a new
+instance's ``__dict__`` in one assignment and skips the dataclass
+``__init__``. The invariant checks stay in :func:`validate_instance`,
 not in the constructors, so that IO layers can build partially-checked
 objects and report schema problems with their own context.
 """
@@ -54,8 +57,24 @@ class Candidate:
     model_id: str | None = None
 
     def __post_init__(self):
-        if self.tokens is not None and not isinstance(self.tokens, tuple):
-            object.__setattr__(self, "tokens", tuple(self.tokens))
+        object.__setattr__(self, "tokens", _tokens_tuple(self.tokens))
+
+
+def _tokens_tuple(tokens):
+    """The one rule for ``Candidate.tokens``: any sequence of strings as a
+    tuple; ``None`` and a tuple stay as they are."""
+    return tokens if tokens is None or isinstance(tokens, tuple) else tuple(tokens)
+
+
+def _candidate(text, tokens, score, answer, model_id) -> Candidate:
+    """``Candidate(text, tokens, score, answer, model_id)`` at about half
+    the cost, for the parser: the same fields, tuple rule and values, so
+    the result equals, hashes, prints and ``replace``-s as the dataclass
+    built one does."""
+    c = object.__new__(Candidate)
+    object.__setattr__(c, "__dict__", {"text": text, "tokens": _tokens_tuple(tokens),
+                                       "score": score, "answer": answer, "model_id": model_id})
+    return c
 
 
 @dataclass(frozen=True)

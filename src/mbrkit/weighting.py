@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,6 +93,18 @@ def _ess(weights: np.ndarray) -> float:
     return min(max(raw, 1.0), float(len(weights)))
 
 
+@lru_cache(maxsize=1)
+def _uniform_weights(n: int) -> WeightVector:
+    """The uniform WeightVector of ``n`` samples, built once per run of
+    equal ``n``: one cached entry, the last ``n``, so a huge line is not
+    kept once a smaller one follows. Every caller shares the vector, so
+    its arrays are read-only."""
+    weights = np.full(n, 1.0 / n)
+    log_unnorm = np.zeros(n)
+    weights.flags.writeable = log_unnorm.flags.writeable = False
+    return WeightVector(weights=weights, log_unnormalized=log_unnorm, ess=_ess(weights))
+
+
 def _mixture_weights(inst: Instance, spec: WeightSpec) -> tuple[np.ndarray, np.ndarray]:
     model_ids = evidence_model_ids(inst.evidence, spec.mixture_weights)
     if spec.mixture_weights is None:
@@ -116,7 +129,8 @@ def _mixture_weights(inst: Instance, spec: WeightSpec) -> tuple[np.ndarray, np.n
 def compute_weights(inst: Instance, spec: WeightSpec, gain_spec: GainSpec) -> WeightVector:
     """Normalized weights of the evidence multiset under the weighting spec.
 
-    uniform        w_i = 1/n (plain Monte Carlo).
+    uniform        w_i = 1/n (plain Monte Carlo); the vector of the last
+                   ``n`` is cached and shared, so its arrays are read-only.
     temperature    log w_i = s_i * (1/tau - 1): importance weights from
                    samples of p toward p^(1/tau).
     length_norm,
@@ -135,11 +149,9 @@ def compute_weights(inst: Instance, spec: WeightSpec, gain_spec: GainSpec) -> We
     ``(text, tokens)`` candidate is tokenized once, as in the gain matrix,
     and correct all scores with one :func:`corrected_score` call.
     """
-    n = len(inst.evidence)
     if spec.kind == "uniform":
-        weights = np.full(n, 1.0 / n)
-        log_unnorm = np.zeros(n)
-    elif spec.kind == "mixture":
+        return _uniform_weights(len(inst.evidence))
+    if spec.kind == "mixture":
         weights, log_unnorm = _mixture_weights(inst, spec)
     else:
         scores = np.array(evidence_scores(inst.evidence, spec.kind), dtype=np.float64)

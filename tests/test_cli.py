@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 import time
@@ -179,6 +180,51 @@ class TestDumpsBytes:
 
         assert dumps({"n": Code(7), "xs": [Code(-2), 0.5], "t": (Code(3),)}) == \
             '{"n":7,"xs":[-2,0.5],"t":[3]}'
+
+
+class TestFloatArrayFormat:
+    """A float-only array is one ``%`` format; these pin its bytes and errors
+    to :func:`format_float` of each element."""
+
+    EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                   1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e17, -1e16, 1e-17)
+
+    def test_float_array_is_each_float_formatted(self):
+        # Random finite bit patterns cover every exponent; the edges are
+        # the zeros, subnormals, the largest double and where ".17g"
+        # switches to exponent notation.
+        rng = random.Random(74)
+        pool = [x for x in (struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+                            for _ in range(60000)) if math.isfinite(x)]
+        pool += self.EDGE_FLOATS * 20
+        rng.shuffle(pool)
+        start = 0
+        while start < len(pool):
+            size = rng.randrange(1, 40)
+            floats = pool[start:start + size]
+            start += size
+            want = "[" + ",".join(format(x, ".17g") for x in floats) + "]"
+            assert dumps(floats) == want
+            assert dumps(tuple(floats)) == want
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_float_in_an_array_raises_as_format_float(self, bad):
+        for k in range(4):
+            floats = [0.5, 1e300, -0.0, 2 / 3][:k] + [bad, math.inf, 0.25]
+            with pytest.raises(ValueError) as want:
+                format_float(floats[k])
+            for value in (floats, tuple(floats)):
+                with pytest.raises(ValueError) as got:
+                    dumps(value)
+                assert str(got.value) == str(want.value)
+
+    def test_mixed_number_array_goes_element_by_element(self):
+        value = [0.5, np.float64(2 / 3), 3, 1e17, np.float64(-0.0), True, -(2**70)]
+        want = "[0.5,0.66666666666666663,3,1e+17,-0,true,-1180591620717411303424]"
+        assert dumps(value) == dumps(tuple(value)) == want
+        for bad in (np.float64(math.nan), np.float64(math.inf)):
+            with pytest.raises(ValueError, match="cannot serialize non-finite value"):
+                dumps([0.5, 3, bad])
 
 
 class TestParsing:
@@ -675,6 +721,35 @@ class TestDecodeCommand:
             proc.stdout.close()
             err = proc.stderr.read().decode()
         assert (proc.returncode, err) == (1, "")
+
+    def run_closed(self, fd: int, argv):
+        """The CLI in its own process with file descriptor ``fd`` (0 for
+        standard input, 1 for standard output) closed."""
+        env = {**os.environ, "PYTHONPATH": str(Path(mbrkit.__file__).resolve().parents[1])}
+        proc = subprocess.run(["sh", "-c", f'exec "$@" {fd}>&-', "sh",
+                               sys.executable, "-m", "mbrkit", *argv],
+                              stdin=subprocess.DEVNULL, capture_output=True, env=env, timeout=120)
+        return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode().splitlines()
+
+    @pytest.mark.parametrize("command", ["decode", "matrix"])
+    @pytest.mark.parametrize("fd,stream,flag", [(0, "input", "--input"),
+                                                (1, "output", "--output")])
+    def test_closed_standard_stream_is_a_config_error(self, tmp_path, command, fd, stream, flag):
+        inp = self.write_input(tmp_path, [self.SCORED_OK])
+        argv = [command] if fd == 0 else [command, "--input", str(inp)]
+        code, out, err = self.run_closed(fd, argv)
+        assert (code, out) == (2, "")
+        assert err == [f"error: standard {stream} is closed; name a file with {flag}"]
+
+    @pytest.mark.parametrize("fd", [0, 1])
+    def test_closed_standard_stream_is_not_needed_with_paths(self, tmp_path, capsys, fd):
+        inp = self.write_input(tmp_path, [self.SCORED_OK])
+        out_path = tmp_path / "out.jsonl"
+        code, out, err = self.run_closed(
+            fd, ["decode", "--input", str(inp), "--output", str(out_path)])
+        assert (code, out, err) == (0, "", [])
+        assert self.run_captured(capsys, ["decode", "--input", str(inp)]) == \
+            (0, out_path.read_text(encoding="utf-8"), [])
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_unexpected_exception_is_a_line_error(self, tmp_path, capsys, monkeypatch, jobs):

@@ -123,6 +123,50 @@ class TestSelect:
             with pytest.raises(NonFiniteValueError):
                 select(np.array(gains), hyps)
 
+    @staticmethod
+    def numpy_tied(gains: np.ndarray) -> list[int]:
+        """The tie set by the scale-relative rule in numpy arithmetic."""
+        return np.flatnonzero(gains >= gains.max() - 1e-12 * np.abs(gains).max()).tolist()
+
+    def test_python_floats_tie_as_the_numpy_rule(self):
+        rng = np.random.default_rng(75)
+        outcomes = set()
+        for exponent in range(-300, 301, 20):
+            for _ in range(40):
+                size = int(rng.integers(2, 12))
+                gains = rng.normal(0.0, 1.0, size) * 10.0**exponent
+                if rng.random() < 0.3:
+                    gains = -np.abs(gains)
+                scale = np.abs(gains).max()
+                top = int(np.argmax(gains))
+                for j in rng.choice(size, int(rng.integers(1, size)), replace=False).tolist():
+                    if j != top:
+                        slack = 1.0 + float(rng.choice([-1e-3, 1e-3]))
+                        gains[j] = gains[top] - 1e-12 * scale * slack
+                tied = self.numpy_tied(gains)
+                scores = rng.permutation(size).astype(float)
+                hyps = tuple(Candidate(text=f"h{i}", score=s) for i, s in enumerate(scores))
+                assert select(gains, hyps) == (tied[0], len(tied) > 1)
+                best = max(tied, key=lambda i: (scores[i], -i))
+                assert select(gains, hyps, "highest_score") == (best, len(tied) > 1)
+                outcomes.add(len(tied) > 1)
+        assert outcomes == {False, True}
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_gain_after_the_largest_is_named(self, bad):
+        hyps = tuple(Candidate(text=t) for t in "vwxyz")
+        for gains, first in (([0.1, 0.9, 0.2, bad, np.nan], 3), ([0.9, bad, bad, 0.5, 0.1], 1),
+                             ([0.0, 0.0, 0.0, 0.9, bad], 4)):
+            with pytest.raises(NonFiniteValueError,
+                               match=rf"^hypotheses\[{first}\] has non-finite expected gain "):
+                select(np.array(gains), hyps)
+
+    def test_all_zero_gains_are_one_tie(self):
+        hyps = tuple(Candidate(text=t, score=-float(len(t))) for t in ("xyz", "x", "xy"))
+        for gains in (np.zeros(3), np.array([0.0, -0.0, 0.0]), np.array([-0.0, -0.0, -0.0])):
+            assert select(gains, hyps) == (0, True)
+            assert select(gains, hyps, "highest_score") == (1, True)
+
 
 class TestDecode:
     def test_mode_recovery_example(self):

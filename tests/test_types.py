@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -21,6 +22,7 @@ from mbrkit import (
     validate_instance,
 )
 from mbrkit import metrics
+from mbrkit.io import parse_instance_line
 
 
 def make_instance(texts=("a", "a", "b"), **kwargs):
@@ -42,6 +44,23 @@ class TestCandidate:
         assert Candidate("a", iter(["a"])).tokens == ("a",)
         assert Candidate(text="a").tokens is None
         assert Candidate(text="a b", tokens=twin.tokens).tokens is twin.tokens
+
+    def test_parsed_candidate_is_a_dataclass_built_one(self):
+        line = ('{"id":"p","evidence":[{"text":"a b","tokens":["a","b"],"score":-1.5,'
+                '"answer":"7","model_id":"m"},{"text":"c"}]}')
+        parsed = parse_instance_line(line, 1).evidence
+        built = (Candidate("a b", ("a", "b"), -1.5, "7", "m"), Candidate("c"))
+        for got, want in zip(parsed, built):
+            assert type(got) is Candidate and type(got.tokens) is type(want.tokens)
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+            assert vars(got) == vars(want) and list(vars(got)) == list(vars(want))
+            assert pickle.loads(pickle.dumps(got)) == want
+            for changes in ({}, {"text": "z"}, {"tokens": ["x"]}, {"score": 0.5}):
+                again = dataclasses.replace(got, **changes)
+                assert again == dataclasses.replace(want, **changes)
+                assert repr(again) == repr(dataclasses.replace(want, **changes))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                got.text = "z"
 
 
 class TestGainSpec:

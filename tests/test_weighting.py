@@ -1,6 +1,7 @@
 """Tests for evidence weighting: corrections, normalization, diagnostics."""
 
 import math
+import weakref
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -112,6 +113,38 @@ class TestUniform:
         inst = instance([Candidate(text="a"), Candidate(text="b")])
         wv = compute_weights(inst, WeightSpec(), GAIN)
         assert wv.weights.tolist() == [0.5, 0.5]
+
+    @staticmethod
+    def uniform(n: int):
+        return compute_weights(instance(Candidate(text=f"c{i}") for i in range(n)),
+                               WeightSpec(), GAIN)
+
+    def test_cached_arrays_are_read_only(self):
+        wv = self.uniform(5)
+        assert self.uniform(5) is wv
+        for array in (wv.weights, wv.log_unnormalized):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+            with pytest.raises(ValueError):
+                array += 1.0
+        assert wv.weights.tolist() == [0.2] * 5 and wv.log_unnormalized.tolist() == [0.0] * 5
+
+    def test_cached_vector_equals_a_fresh_one_bit_for_bit(self):
+        # Up to 130 crosses numpy's pairwise-sum unroll edges at 8 and 128.
+        for n in range(1, 131):
+            wv = self.uniform(n)
+            fresh = np.full(n, 1.0 / n)
+            assert wv.weights.tobytes() == fresh.tobytes()
+            assert wv.log_unnormalized.tobytes() == np.zeros(n).tobytes()
+            assert wv.ess.hex() == weighting._ess(fresh).hex()
+
+    def test_next_n_frees_the_last_vector(self):
+        big = weakref.ref(self.uniform(100_000))
+        assert big() is not None
+        small = self.uniform(3)
+        assert big() is None
+        assert self.uniform(3) is small
 
 
 class TestTemperature:
