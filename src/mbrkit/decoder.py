@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MbrError, NonFiniteValueError, ShapeMismatchError, with_instance_id
-from .metrics import candidate_tokens, gain_matrix
+from .metrics import GainTable, candidate_tokens, gain_matrix, gain_table
 from .types import (
     TIE_BREAKS,
     Candidate,
@@ -33,13 +33,21 @@ from .weighting import WeightVector, compute_weights
 
 TIE_ATOL = 1e-12
 
+# Cells of the per-sample gain matrix that one block of evidence rows
+# gathers and weighs at once in _table_gains: 256 KB of float64, which
+# a core's cache holds. A line within it is reduced as one block.
+_GAIN_BLOCK_CELLS = 1 << 15
+
 
 def expected_gains(matrix: np.ndarray, weights: np.ndarray | WeightVector) -> np.ndarray:
     """Per-hypothesis expected gain: column-wise weighted sum of the matrix.
 
     Computed as an explicit elementwise product followed by an axis sum so
     the floating-point reduction order is fixed, which keeps results
-    bit-identical across worker counts and BLAS builds. A sum past the
+    bit-identical across worker counts and BLAS builds. On a C-ordered
+    matrix with two or more columns numpy's axis-0 sum adds the rows one
+    by one, in order, which :func:`decode` reproduces block by block from
+    the distinct gain table without building the matrix. A sum past the
     float range is +-inf with no warning; :func:`select` rejects it.
     """
     if isinstance(weights, WeightVector):
@@ -53,8 +61,48 @@ def expected_gains(matrix: np.ndarray, weights: np.ndarray | WeightVector) -> np
             f"weight vector of shape {weights.shape} does not match "
             f"gain matrix of shape {matrix.shape}"
         )
+    return _weighted_sum(matrix, weights)
+
+
+def _weighted_sum(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The reduction of :func:`expected_gains` on checked float arrays."""
     with np.errstate(over="ignore"):
         return (weights[:, None] * matrix).sum(axis=0)
+
+
+def _table_gains(table: GainTable, weights: np.ndarray) -> np.ndarray:
+    """:func:`expected_gains` of ``table.matrix()``, bit for bit, without
+    building the per-sample matrix when it exceeds ``_GAIN_BLOCK_CELLS``.
+
+    The table's columns are gathered once; then each block of evidence
+    rows is gathered, weighed and summed with the running sum carried in
+    as its first row, which continues numpy's row-by-row accumulation. A
+    line that fits one block, has one hypothesis (whose column numpy sums
+    pairwise) or an external matrix (which may be F-ordered) is reduced
+    as :func:`expected_gains` reduces the gathered matrix. Memory is the
+    table, its gathered columns and two blocks, not 16 bytes per pair of
+    samples.
+    """
+    if table.ev_inv is None:
+        return _weighted_sum(table.table, weights)
+    height, width = len(table.ev_inv), len(table.hyp_inv)
+    if width == 1 or height * width <= _GAIN_BLOCK_CELLS:
+        return _weighted_sum(table.matrix(), weights)
+    cols = table.columns()
+    step = max(1, _GAIN_BLOCK_CELLS // width)
+    block = np.empty((min(step, height) + 1, width))  # row 0 holds the running sum
+    total = None
+    with np.errstate(over="ignore"):
+        for first in range(0, height, step):
+            rows = table.ev_inv[first:first + step]
+            weighed = np.multiply(weights[first:first + step, None], cols.take(rows, axis=0),
+                                  out=block[1:len(rows) + 1])
+            if total is None:
+                total = weighed.sum(axis=0)
+            else:
+                block[0] = total
+                total = block[:len(rows) + 1].sum(axis=0)
+    return total
 
 
 def select(
@@ -62,6 +110,7 @@ def select(
     hypotheses: Sequence[Candidate],
     tie_break: str = "first",
     gain_spec: GainSpec | None = None,
+    tokens: tuple[list, np.ndarray] | None = None,
 ) -> tuple[int, bool]:
     """Index of the winning hypothesis and whether a tie rule was applied.
 
@@ -70,7 +119,10 @@ def select(
     scale of the gains; an all-zero vector is one tie. ``first`` keeps
     the lowest index, ``highest_score`` prefers the largest candidate
     score (missing scores rank lowest), and ``longest`` prefers the most
-    tokens; both fall back to the lowest index among remaining equals.
+    tokens, read from the hypotheses' interning ``tokens`` (sequences and
+    inverse, as :func:`mbrkit.metrics.distinct_tokens` returns them) when
+    given and else tokenized per tied hypothesis; both fall back to the
+    lowest index among remaining equals.
     An unknown rule is rejected whether or not there is a tie, and a
     non-finite gain, which no tie rule can order, is a NonFiniteValueError.
     """
@@ -94,6 +146,11 @@ def select(
         def key(i: int) -> float:
             score = hypotheses[i].score
             return -math.inf if score is None else score
+    elif tokens is not None:
+        seqs, inverse = tokens
+
+        def key(i: int) -> float:
+            return float(len(seqs[inverse[i]]))
     else:
         spec = gain_spec if gain_spec is not None else GainSpec()
 
@@ -105,11 +162,13 @@ def select(
 def _decode_validated(
     inst: Instance, gain_spec: GainSpec, weight_spec: WeightSpec, tie_break: str
 ) -> DecodeResult:
-    """The pipeline after validation, on an instance already validated."""
-    matrix = gain_matrix(inst, gain_spec)
-    wv = compute_weights(inst, weight_spec, gain_spec)
-    gains = expected_gains(matrix, wv.weights)
-    index, tie_broken = select(gains, inst.hypotheses, tie_break, gain_spec)
+    """The pipeline after validation, on an instance already validated:
+    one gain table, whose interning also serves the weights and the
+    ``longest`` tie rule, reduced without the per-sample matrix."""
+    table = gain_table(inst, gain_spec)
+    wv = compute_weights(inst, weight_spec, gain_spec, table.ev_tokens)
+    gains = _table_gains(table, wv.weights)
+    index, tie_broken = select(gains, inst.hypotheses, tie_break, gain_spec, table.hyp_tokens)
     return DecodeResult(
         selected_index=index,
         selected_text=inst.hypotheses[index].text,
@@ -129,7 +188,7 @@ def decode(
 ) -> DecodeResult:
     """Run the full pipeline on one instance and return the selection.
 
-    Validates the instance, builds the gain matrix and weight vector,
+    Validates the instance, builds the gain table and weight vector,
     reduces to expected gains, and selects. Errors raised anywhere in the
     pipeline are re-raised with the instance id prefixed so batch callers
     can report which input failed.

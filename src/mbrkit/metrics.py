@@ -1,16 +1,21 @@
 """Tokenization, n-gram counts joined on their postings, and the built-in gains.
 
 Every gain maps an (evidence, hypothesis) candidate pair into [0, 1].
-:func:`gain_matrix` holds the only implementation of each gain, batched
-over all pairs of an instance; :func:`pair_gain` is its 1x1 case. The
-gains come in three families: ``external`` passes through a matrix the
+:func:`gain_table` holds the only implementation of each gain, batched
+over all pairs of an instance's distinct candidates; :func:`gain_matrix`
+is its per-sample gather and :func:`pair_gain` the 1x1 case. The gains
+come in three families: ``external`` passes through a matrix the
 instance carries; key match is 1 iff two keys are equal, the stripped
 answer for ``answer_match`` (self-consistency) or the token sequence
 for ``exact_match`` (mode seeking); the n-gram gains are the ROUGE-n
 overlap kernel and sentence BLEU. Evidence samples repeat, since
-duplicates carry probability mass, so every candidate is tokenized once
-per distinct ``(text, tokens)`` pair and an n-gram table is built once
-per distinct pair of candidates, then gathered back per sample.
+duplicates carry probability mass, so each side of an instance is
+interned once: every candidate is tokenized once per distinct ``(text,
+tokens)`` pair, and a table is built once per pair of distinct keys.
+The table, the two inverses and the token sequences form one
+:class:`GainTable`, from which the decoder also takes its length
+weights and tie lengths and reduces the expected gains without
+gathering the table back per sample.
 The n-gram overlap kernel is defined in its signed-difference form,
 
     K(y, y') = 1 - |T(y) - T(y')|_1 / (|T(y)|_1 + |T(y')|_1)
@@ -42,6 +47,7 @@ from collections import Counter
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,17 +100,21 @@ def distinct_tokens(cands, spec: GainSpec) -> tuple[list[tuple[str, ...]], np.nd
     return seqs, np.array(inverse, dtype=np.intp)
 
 
-def _key_ids(cands, spec: GainSpec, side: str, ids: dict) -> np.ndarray:
-    """Each candidate's key as its id in ``ids``, which gives new keys the
-    next id: the stripped answer for ``answer_match`` (MissingAnswerError at
-    the first without one), else the token sequence of :func:`distinct_tokens`."""
+def _distinct_keys(cands, spec: GainSpec, side: str) -> tuple[list, np.ndarray]:
+    """The distinct keys of one side in order of first occurrence and each
+    candidate's index among them: the stripped answer for ``answer_match``
+    (MissingAnswerError at the first candidate without one), else the token
+    sequence of :func:`distinct_tokens`."""
+    ids: dict = {}
     if spec.kind == "answer_match":
         answers = [c.answer for c in cands]
         if None in answers:
             raise MissingAnswerError(f"{side}[{answers.index(None)}] has no extracted answer")
-        return np.array([ids.setdefault(a.strip(), len(ids)) for a in answers])
+        inverse = np.array([ids.setdefault(a.strip(), len(ids)) for a in answers])
+        return list(ids), inverse
     seqs, inverse = distinct_tokens(cands, spec)
-    return np.array([ids.setdefault(s, len(ids)) for s in seqs])[inverse]
+    key_of = [ids.setdefault(s, len(ids)) for s in seqs]
+    return list(ids), inverse if len(ids) == len(seqs) else np.array(key_of)[inverse]
 
 
 @dataclass(frozen=True)
@@ -412,47 +422,104 @@ def _ngram_gains(ev_keys: list, hyp_keys: list, spec: GainSpec, jobs: int) -> np
     return out
 
 
-def gain_matrix(inst: Instance, spec: GainSpec, jobs: int = 1) -> np.ndarray:
-    """Pairwise gain table: entry (i, j) = G(evidence_i, hypothesis_j).
+class GainTable(NamedTuple):
+    """The gains of one instance as a table over its distinct candidates.
 
-    One branch per gain family. ``external`` returns the instance's
-    matrix as is. Key match gives each sample its key's id, the stripped
-    answer (``answer_match``) or the token sequence (``exact_match``),
-    and compares all pairs by one ``np.equal.outer``. The n-gram gains,
+    ``table[ev_inv[i], hyp_inv[j]]`` is G(evidence_i, hypothesis_j). Each
+    side's distinct candidates are numbered in order of first occurrence,
+    so a side without duplicates has the identity inverse and its rows (or
+    columns) are already in sample order; an external matrix has no
+    inverses and is the per-sample matrix itself. ``ev_seqs`` and
+    ``hyp_seqs`` are the token sequences of the distinct rows and columns
+    (``ev_seqs[ev_inv[i]]`` is evidence i's) for the gains that tokenize,
+    and None for ``answer_match`` and ``external``.
+    """
+
+    table: np.ndarray
+    ev_inv: np.ndarray | None = None
+    hyp_inv: np.ndarray | None = None
+    ev_seqs: list | None = None
+    hyp_seqs: list | None = None
+
+    @property
+    def ev_tokens(self) -> tuple[list, np.ndarray] | None:
+        """The evidence interning as :func:`distinct_tokens` returns it, if any."""
+        return None if self.ev_seqs is None else (self.ev_seqs, self.ev_inv)
+
+    @property
+    def hyp_tokens(self) -> tuple[list, np.ndarray] | None:
+        """The hypothesis interning as :func:`distinct_tokens` returns it, if any."""
+        return None if self.hyp_seqs is None else (self.hyp_seqs, self.hyp_inv)
+
+    def columns(self) -> np.ndarray:
+        """The table with its columns gathered to one per hypothesis sample."""
+        if self.hyp_inv is None or len(self.hyp_inv) == self.table.shape[1]:
+            return self.table
+        return self.table.take(self.hyp_inv, axis=1)
+
+    def matrix(self) -> np.ndarray:
+        """The per-sample gain matrix in C order. Columns are gathered
+        first: the row take then copies whole rows."""
+        cols = self.columns()
+        if self.ev_inv is None or len(self.ev_inv) == len(cols):
+            return cols
+        return cols.take(self.ev_inv, axis=0)
+
+
+def gain_table(inst: Instance, spec: GainSpec, jobs: int = 1) -> GainTable:
+    """The instance's gains over its distinct candidates, each side interned once.
+
+    One branch per gain family. ``external`` holds the instance's matrix
+    as is. Key match numbers each side's distinct keys, the stripped
+    answer (``answer_match``) or the token sequence (``exact_match``); the
+    table is the identity when the sides are shared and one
+    ``np.equal.outer`` of the keys' evidence rows otherwise. The n-gram gains,
     ``rouge_n_kernel`` and ``sentence_bleu``, run once per pair of
-    distinct candidates and gather the table back to one row per
-    evidence sample and one column per hypothesis; the postings of both
-    sides come from one :func:`_ngram_postings` call, and ``jobs`` > 1
-    runs the blocks of evidence rows, each joined and finished, on one
-    thread pool. Token sequences come from :func:`distinct_tokens`, once
-    per distinct raw ``(text, tokens)`` pair. Every cell is a function of
-    its pair's keys alone and the join's sums are exact integers, so the
-    result is the per-sample table bit for bit, whatever ``jobs``. When
-    the hypotheses are the evidence (absent, or the same tuple, as
+    distinct candidates; the postings of both sides come from one
+    :func:`_ngram_postings` call, and ``jobs`` > 1 runs the blocks of
+    evidence rows, each joined and finished, on one thread pool. Token
+    sequences come from :func:`distinct_tokens`, once per distinct raw
+    ``(text, tokens)`` pair. Every cell is a function of its pair's keys
+    alone and the join's sums are exact integers, so the gathered table is
+    the per-sample table bit for bit, whatever ``jobs``. When the
+    hypotheses are the evidence (absent, or the same tuple, as
     :func:`mbrkit.types.validate_instance` leaves them), one side's
     interning, ids and postings serve both.
     """
     if spec.kind == "external":
-        return np.asarray(require_external_gain(inst, spec), dtype=np.float64)
+        return GainTable(np.asarray(require_external_gain(inst, spec), dtype=np.float64))
 
     hyps = inst.hypotheses if inst.hypotheses is not None else inst.evidence
     shared = hyps is inst.evidence
     if spec.kind in ("exact_match", "answer_match"):
-        ids: dict = {}
-        ev_ids = _key_ids(inst.evidence, spec, "evidence", ids)
-        hyp_ids = ev_ids if shared else _key_ids(hyps, spec, "hypotheses", ids)
-        return np.equal.outer(ev_ids, hyp_ids).astype(np.float64)
+        ev_keys, ev_inv = _distinct_keys(inst.evidence, spec, "evidence")
+        if shared:
+            hyp_keys, hyp_inv, table = ev_keys, ev_inv, np.eye(len(ev_keys))
+        else:
+            hyp_keys, hyp_inv = _distinct_keys(hyps, spec, "hypotheses")
+            row_of = {k: i for i, k in enumerate(ev_keys)}
+            rows = np.array([row_of.get(k, -1) for k in hyp_keys])
+            table = np.equal.outer(np.arange(len(ev_keys)), rows).astype(np.float64)
+        if spec.kind == "answer_match":
+            return GainTable(table, ev_inv, hyp_inv)
+        return GainTable(table, ev_inv, hyp_inv, ev_keys, hyp_keys)
 
-    ev_keys, ev_inv = distinct_tokens(inst.evidence, spec)
-    hyp_keys, hyp_inv = (ev_keys, ev_inv) if shared else distinct_tokens(hyps, spec)
-    table = _ngram_gains(ev_keys, hyp_keys, spec, jobs)
-    # A side without duplicates is already in sample order. Columns go
-    # first: the row take then copies whole rows.
-    if len(hyp_keys) < len(hyp_inv):
-        table = table.take(hyp_inv, axis=1)
-    if len(ev_keys) < len(ev_inv):
-        table = table.take(ev_inv, axis=0)
-    return table
+    ev_seqs, ev_inv = distinct_tokens(inst.evidence, spec)
+    hyp_seqs, hyp_inv = (ev_seqs, ev_inv) if shared else distinct_tokens(hyps, spec)
+    table = _ngram_gains(ev_seqs, hyp_seqs, spec, jobs)
+    return GainTable(table, ev_inv, hyp_inv, ev_seqs, hyp_seqs)
+
+
+def gain_matrix(inst: Instance, spec: GainSpec, jobs: int = 1) -> np.ndarray:
+    """Pairwise gain matrix: entry (i, j) = G(evidence_i, hypothesis_j).
+
+    The per-sample gather of :func:`gain_table`, which holds the only
+    implementation of each gain; ``external`` returns the instance's
+    matrix as is. It costs 8 bytes per pair of samples, so
+    :func:`mbrkit.decoder.decode` reduces large instances from the table
+    instead.
+    """
+    return gain_table(inst, spec, jobs).matrix()
 
 
 def pair_gain(y: Candidate, y_prime: Candidate, spec: GainSpec) -> float:

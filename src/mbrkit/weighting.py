@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateWeightsError, ZeroLengthCandidateError
+from .errors import DegenerateWeightsError, EmptyEvidenceError, ZeroLengthCandidateError
 from .metrics import distinct_tokens
 from .types import GainSpec, Instance, WeightSpec, evidence_model_ids, evidence_scores
 
@@ -126,7 +126,8 @@ def _mixture_weights(inst: Instance, spec: WeightSpec) -> tuple[np.ndarray, np.n
     return raw / total, log_raw
 
 
-def compute_weights(inst: Instance, spec: WeightSpec, gain_spec: GainSpec) -> WeightVector:
+def compute_weights(inst: Instance, spec: WeightSpec, gain_spec: GainSpec,
+                    tokens: tuple[list, np.ndarray] | None = None) -> WeightVector:
     """Normalized weights of the evidence multiset under the weighting spec.
 
     uniform        w_i = 1/n (plain Monte Carlo); the vector of the last
@@ -143,12 +144,16 @@ def compute_weights(inst: Instance, spec: WeightSpec, gain_spec: GainSpec) -> We
     duplicates in the evidence multiset keep their own per-sample weight.
     Extreme finite scores overflow to +-inf as IEEE arithmetic does, with
     no warning; the log weights that are +inf, if any, share all the mass
-    equally, and a nan log weight is a DegenerateWeightsError. The
-    length kinds take token counts from
-    :func:`mbrkit.metrics.distinct_tokens`, so each distinct
-    ``(text, tokens)`` candidate is tokenized once, as in the gain matrix,
-    and correct all scores with one :func:`corrected_score` call.
+    equally, and a nan log weight is a DegenerateWeightsError; an
+    instance without evidence is an EmptyEvidenceError for every kind.
+    The length kinds take token counts from ``tokens``, the evidence
+    interning of :func:`mbrkit.metrics.distinct_tokens` (the gain table's,
+    when the decoder has one), or else intern the evidence themselves, so
+    each distinct ``(text, tokens)`` candidate is tokenized once; they
+    correct all scores with one :func:`corrected_score` call.
     """
+    if not inst.evidence:
+        raise EmptyEvidenceError("no evidence candidates")
     if spec.kind == "uniform":
         return _uniform_weights(len(inst.evidence))
     if spec.kind == "mixture":
@@ -159,7 +164,7 @@ def compute_weights(inst: Instance, spec: WeightSpec, gain_spec: GainSpec) -> We
             if spec.kind == "temperature":
                 log_unnorm = scores * (1.0 / spec.tau - 1.0)
             else:
-                seqs, inverse = distinct_tokens(inst.evidence, gain_spec)
+                seqs, inverse = tokens or distinct_tokens(inst.evidence, gain_spec)
                 lengths = np.array([len(t) for t in seqs], dtype=np.int64)[inverse]
                 log_unnorm = corrected_score(scores, lengths, spec) - scores
             if np.any(np.isnan(log_unnorm)):

@@ -601,9 +601,14 @@ class TestDecodeCommand:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_escaped_lone_surrogate_is_a_line_error(self, tmp_path, capsys, jobs):
+        # A lone surrogate fails its line when it reaches the result (the
+        # selected text or the id), through the generic branch of
+        # cli._process_line; in a candidate that is not selected it never
+        # gets encoded and the line decodes.
         data = (b'{"id":"a","evidence":[{"text":"a"}]}\n'
                 b'{"id":"b","evidence":[{"text":"\\udcff"}]}\n'
-                b'{"id":"c","evidence":[{"text":"c"}]}\n')
+                b'{"id":"c","evidence":[{"text":"c"},{"text":"c"},{"text":"\\udcff"}]}\n'
+                b'{"id":"\\ud800","evidence":[{"text":"d"}]}\n')
         inp = tmp_path / "in.jsonl"
         inp.write_bytes(data)
         out_path = tmp_path / "out.jsonl"
@@ -614,7 +619,74 @@ class TestDecodeCommand:
         for code, out, err in runs:
             assert code == 1
             assert [json.loads(line)["id"] for line in out.splitlines()] == ["a", "c"]
-            assert len(err) == 1 and err[0].startswith("line 2: UnicodeEncodeError")
+            assert [e.split(":", 2)[:2] for e in err] == [["line 2", " UnicodeEncodeError"],
+                                                          ["line 4", " UnicodeEncodeError"]]
+            assert all(e.endswith("surrogates not allowed") for e in err)
+
+    @pytest.mark.parametrize("metric", ["rouge", "bleu", "exact"])
+    def test_one_tokenization_per_distinct_candidate_per_line(self, tmp_path, capsys,
+                                                              monkeypatch, metric):
+        # The gain table's interning serves the gains, the length weights
+        # and the longest tie rule, so a whole decode tokenizes each
+        # distinct (text, tokens) candidate of a side once.
+        from mbrkit import decoder, metrics
+
+        lines = [
+            # Shared sides: "a b" twice and its token twin tie for the top.
+            '{"id":"1","evidence":[{"text":"a b","score":-1},{"text":"a b","score":-1},'
+            '{"text":"a b c","score":-2},{"text":"b","score":-0.5},'
+            '{"text":"x","tokens":["a","b"],"score":-1}]}',
+            # Separate hypotheses, one of them twice.
+            '{"id":"2","evidence":[{"text":"c d","score":-1},{"text":"c d","score":-1},'
+            '{"text":"c","score":-2}],"hypotheses":[{"text":"c d"},{"text":"e"},{"text":"c d"}]}',
+        ]
+        distinct_per_line = {"1": 4, "2": 2 + 2}
+        inp = self.write_input(tmp_path, lines)
+        calls = []
+        tokens = metrics.candidate_tokens
+
+        def counted(c, spec):
+            calls.append(c)
+            return tokens(c, spec)
+
+        monkeypatch.setattr(metrics, "candidate_tokens", counted)
+        monkeypatch.setattr(decoder, "candidate_tokens", counted)
+        code, out, _ = self.run_captured(capsys, [
+            "decode", "--metric", metric, "--weighting", "length-norm", "--beta", "1",
+            "--tie-break", "longest", "--input", str(inp)])
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["tie_broken"] for r in records] == [True, True]
+        assert len(calls) == sum(distinct_per_line.values())
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_leading_utf8_bom_fails_the_first_line(self, tmp_path, capsys, jobs):
+        # Pinned as it is: the input is read as plain UTF-8, so a file saved
+        # with a BOM fails its first line and decodes the rest.
+        data = ('\ufeff{"id":"a","evidence":[{"text":"a"}]}\n'
+                '{"id":"b","evidence":[{"text":"b"}]}\n').encode("utf-8")
+        inp = tmp_path / "in.jsonl"
+        inp.write_bytes(data)
+        runs = [self.run_captured(capsys, ["decode", "--jobs", jobs, "--input", str(inp)]),
+                self.run_stdin(["decode", "--jobs", jobs], data)]
+        for code, out, err in runs:
+            assert code == 1
+            assert [json.loads(line)["id"] for line in out.splitlines()] == ["b"]
+            assert err == ["line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_nan_external_gain_fails_the_line_under_any_metric(self, tmp_path, capsys, jobs):
+        # Pinned as it is: validation checks a carried external_gain even
+        # when the metric (here rouge) never reads it.
+        inp = self.write_input(tmp_path, [
+            '{"id":"a","evidence":[{"text":"a"},{"text":"b"}],"external_gain":[[NaN,1],[0,1]]}',
+            '{"id":"b","evidence":[{"text":"b"}],"external_gain":[[1]]}',
+        ])
+        code, out, err = self.run_captured(
+            capsys, ["decode", "--metric", "rouge", "--jobs", jobs, "--input", str(inp)])
+        assert code == 1
+        assert [json.loads(line)["id"] for line in out.splitlines()] == ["b"]
+        assert err == ["line 1: instance 'a': external_gain[0][0] is nan"]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_stdout_is_utf8_whatever_the_locale(self, jobs):

@@ -1,5 +1,6 @@
 """Tests for expected-gain reduction, selection, and the decode presets."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,8 @@ from mbrkit import (
     self_consistency,
     validate_instance,
 )
+from mbrkit import decoder
+from mbrkit.metrics import GainTable
 
 ROUGE1 = GainSpec(kind="rouge_n_kernel", n=1)
 EXACT = GainSpec(kind="exact_match")
@@ -69,6 +72,134 @@ class TestExpectedGains:
             expected_gains(np.eye(3), np.array([0.5, 0.5]))
         with pytest.raises(ShapeMismatchError):
             expected_gains(np.ones(3), np.ones(3) / 3)
+
+
+def first_occurrence(raw):
+    """``raw`` renumbered in order of first occurrence, as the gain table
+    numbers a side's distinct candidates."""
+    ids: dict = {}
+    return np.array([ids.setdefault(v, len(ids)) for v in raw.tolist()], dtype=np.intp)
+
+
+def today_gains(table, ev_inv, hyp_inv, weights):
+    """The per-sample expression the blocked reduction must reproduce:
+    the C-ordered gathered matrix, weighed and summed over axis 0."""
+    matrix = np.ascontiguousarray(table[np.ix_(ev_inv, hyp_inv)])
+    return (weights[:, None] * matrix).sum(axis=0)
+
+
+class TestTableReduction:
+    """decoder._table_gains against today's (w[:, None] * M).sum(axis=0),
+    byte for byte: numpy's axis-0 sum is a row-by-row accumulation only by
+    this build's behaviour, so the blocked form is pinned here."""
+
+    @staticmethod
+    def random_case(rng, height, width, distinct_rows, distinct_cols):
+        # Mixed magnitudes, so that any change of summation order shows.
+        table = rng.random((distinct_rows, distinct_cols)) * 10.0 ** rng.integers(
+            -3, 4, size=(distinct_rows, distinct_cols))
+        ev_inv = first_occurrence(rng.integers(0, distinct_rows, height))
+        hyp_inv = first_occurrence(rng.integers(0, distinct_cols, width))
+        if distinct_rows >= height:  # duplicate-free: the identity inverse
+            ev_inv = np.arange(height)
+        if distinct_cols >= width:
+            hyp_inv = np.arange(width)
+        table = table[: ev_inv.max() + 1, : hyp_inv.max() + 1]
+        weights = rng.random(height) * 10.0 ** rng.integers(-5, 1, size=height)
+        weights /= weights.sum()
+        return GainTable(table, ev_inv, hyp_inv), weights
+
+    def check(self, rng, height, width, distinct_rows, distinct_cols):
+        gt, weights = self.random_case(rng, height, width, distinct_rows, distinct_cols)
+        want = today_gains(gt.table, gt.ev_inv, gt.hyp_inv, weights)
+        got = decoder._table_gains(gt, weights)
+        assert got.tobytes() == want.tobytes(), (height, width, distinct_rows, distinct_cols)
+
+    def test_random_shapes_at_the_module_budget(self):
+        rng = np.random.default_rng(1601)
+        for _ in range(60):
+            height = int(rng.integers(1, 4097))
+            width = int(rng.integers(1, 300))
+            self.check(rng, height, width, int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+        for height, width in ((4096, 9), (4096, 1), (1, 4096), (4096, 64)):
+            self.check(rng, height, width, 6, 6)
+            self.check(rng, height, width, height, width)
+
+    @pytest.mark.parametrize("budget", [1, 2, 7, 64, 1000])
+    def test_small_budgets_down_to_one_row_blocks(self, monkeypatch, budget):
+        monkeypatch.setattr(decoder, "_GAIN_BLOCK_CELLS", budget)
+        rng = np.random.default_rng(1602 + budget)
+        for _ in range(40):
+            height = int(rng.integers(1, 300))
+            width = int(rng.integers(1, 40))
+            dup_heavy = bool(rng.integers(0, 2))
+            rows = int(rng.integers(1, 5)) if dup_heavy else height
+            cols = int(rng.integers(1, 5)) if dup_heavy else width
+            self.check(rng, height, width, rows, cols)
+        self.check(rng, 4096, 3, 6, 3)
+
+    @pytest.mark.parametrize("budget", [1, 1 << 15])
+    def test_one_hypothesis_is_one_block(self, monkeypatch, budget):
+        # numpy sums a lone column pairwise, which a row-blocked sum would
+        # not reproduce, so H = 1 keeps today's expression at any budget.
+        monkeypatch.setattr(decoder, "_GAIN_BLOCK_CELLS", budget)
+        rng = np.random.default_rng(1603)
+        for height in (1, 2, 17, 1000, 4096):
+            self.check(rng, height, 1, 6, 1)
+            self.check(rng, height, 1, height, 1)
+
+    def test_external_f_ordered_matrix_stays_one_block(self, monkeypatch):
+        monkeypatch.setattr(decoder, "_GAIN_BLOCK_CELLS", 1)
+        rng = np.random.default_rng(1604)
+        for height, width in ((100, 16), (4096, 5), (33, 300)):
+            matrix = np.asfortranarray(rng.random((height, width)) * 10.0 ** rng.integers(
+                -3, 4, size=(height, width)))
+            weights = rng.random(height)
+            weights /= weights.sum()
+            got = decoder._table_gains(GainTable(matrix), weights)
+            assert got.tobytes() == (weights[:, None] * matrix).sum(axis=0).tobytes()
+
+    @pytest.mark.parametrize("spec", [ROUGE1, EXACT, GainSpec(kind="answer_match"),
+                                      GainSpec(kind="sentence_bleu")],
+                             ids=lambda s: s.kind)
+    def test_decode_equals_the_gathered_matrix(self, monkeypatch, spec):
+        # The public route (gain_matrix, then expected_gains) and decode's
+        # blocked route give the same bytes, with and without duplicates.
+        monkeypatch.setattr(decoder, "_GAIN_BLOCK_CELLS", 50)
+        rng = np.random.default_rng(1605)
+        weight = WeightSpec(kind="length_norm", beta=0.7)
+        for n_evidence, n_hypotheses in ((40, None), (40, 9), (25, 1), (7, None)):
+            inst = random_instance(rng, n_evidence, n_hypotheses)
+            evidence = tuple(replace(c, score=-float(len(c.tokens)), answer=c.tokens[0])
+                             for c in inst.evidence)
+            hypotheses = inst.hypotheses and tuple(replace(c, answer=c.tokens[0])
+                                                   for c in inst.hypotheses)
+            checked = validate_instance(replace(inst, evidence=evidence, hypotheses=hypotheses),
+                                        spec, weight)
+            wv = compute_weights(checked, weight, spec)
+            want = expected_gains(gain_matrix(checked, spec), wv)
+            assert np.array(decode(checked, spec, weight).gain_estimates).tobytes() \
+                == want.tobytes()
+
+    @pytest.mark.parametrize("metric", ["rouge", "answer", "bleu"])
+    def test_large_line_memory_follows_its_distinct_candidates(self, metric):
+        # 4000 samples of 6 distinct answers: the per-sample matrix and its
+        # weighted copy took about 244 MB; the table, its gathered columns
+        # and two blocks take a small fraction of that.
+        texts = [f"the answer is {k} because {' '.join(['step'] * k)}" for k in range(6)]
+        picks = [0 if i % 2 == 0 else i % 6 for i in range(4000)]  # a majority for 0
+        evidence = tuple(Candidate(text=texts[k], answer=str(k)) for k in picks)
+        spec = {"rouge": ROUGE1, "answer": GainSpec(kind="answer_match"),
+                "bleu": GainSpec(kind="sentence_bleu")}[metric]
+        inst = validate_instance(Instance(id="big", evidence=evidence), spec, UNIFORM)
+        tracemalloc.start()
+        try:
+            result = decode(inst, spec, UNIFORM)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.selected_text == texts[0]
+        assert peak < 16 * 2**20, peak
 
 
 class TestSelect:

@@ -856,6 +856,40 @@ class TestMultisetCompression:
         assert calls["candidate_tokens"] == 3
 
 
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "own-hypotheses"])
+    @pytest.mark.parametrize("spec", [ROUGE1, BLEU4, EXACT, GainSpec(kind="answer_match")],
+                             ids=lambda s: s.kind)
+    def test_gain_table_is_over_distinct_keys(self, spec, shared):
+        # Three distinct raw candidates; the last has the tokens and answer
+        # of the first, so the key-match gains see two distinct keys.
+        evidence = (Candidate(text="a b", answer="1"), Candidate(text="c", answer="2"),
+                    Candidate(text="a b", answer="1"), Candidate(text="x", tokens=("a", "b"),
+                                                                 answer=" 1 "))
+        hypotheses = None if shared else (Candidate(text="c", answer="2"),
+                                          Candidate(text="d e", answer="3"),
+                                          Candidate(text="c", answer="2"))
+        inst = validate_instance(Instance(id="t", evidence=evidence, hypotheses=hypotheses),
+                                 spec, WeightSpec())
+        table = metrics.gain_table(inst, spec)
+        keyed = spec.kind in ("exact_match", "answer_match")
+        assert table.ev_inv.tolist() == ([0, 1, 0, 0] if keyed else [0, 1, 0, 2])
+        if not shared:
+            assert table.hyp_inv.tolist() == [0, 1, 0]
+        assert table.table.shape == (table.ev_inv.max() + 1, table.hyp_inv.max() + 1)
+        if spec.kind == "answer_match":
+            assert table.ev_tokens is None and table.hyp_tokens is None
+        else:
+            seqs, inverse = table.ev_tokens
+            assert [seqs[k] for k in inverse] == [candidate_tokens(c, spec) for c in evidence]
+            seqs, inverse = table.hyp_tokens
+            assert [seqs[k] for k in inverse] == [candidate_tokens(c, spec)
+                                                  for c in inst.hypotheses]
+        want = [[pair_gain(e, h, spec) for h in inst.hypotheses] for e in evidence]
+        matrix = table.matrix()
+        assert matrix.flags.c_contiguous and matrix.tolist() == want
+        assert gain_matrix(inst, spec).tobytes() == matrix.tobytes()
+
+
 class TestDependencies:
     def test_cli_import_does_not_load_scipy(self):
         env = {**os.environ, "PYTHONPATH": str(SRC)}

@@ -10,6 +10,7 @@ import pytest
 from mbrkit import (
     Candidate,
     DegenerateWeightsError,
+    EmptyEvidenceError,
     NonFiniteValueError,
     ToyDistribution,
     GainSpec,
@@ -287,6 +288,21 @@ class TestMixture:
         spec = WeightSpec(kind="mixture", mixture_weights={"m0": 0.0, "m1": 1.0})
         with pytest.raises(DegenerateWeightsError):
             compute_weights(inst, spec, GAIN)
+
+
+class TestEmptyEvidence:
+    @pytest.mark.parametrize("spec", [
+        WeightSpec(),
+        WeightSpec(kind="temperature", tau=0.5),
+        WeightSpec(kind="length_norm", beta=1.0),
+        WeightSpec(kind="length_reward", gamma=0.5),
+        WeightSpec(kind="mixture"),
+        WeightSpec(kind="mixture", mixture_weights={"m0": 1.0}),
+    ], ids=lambda s: s.kind)
+    def test_every_kind_rejects_an_instance_without_evidence(self, spec):
+        # decode validates first; a direct call must raise the same error.
+        with pytest.raises(EmptyEvidenceError, match="no evidence candidates"):
+            compute_weights(Instance(id="x", evidence=()), spec, GAIN)
 
 
 class TestInvariants:
