@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MbrError, NonFiniteValueError, ShapeMismatchError, with_instance_id
-from .metrics import GainTable, candidate_tokens, gain_matrix, gain_table
+from .metrics import GainTable, candidate_tokens, distinct_tokens, gain_matrix, gain_table
 from .types import (
     TIE_BREAKS,
     Candidate,
@@ -33,9 +33,9 @@ from .weighting import WeightVector, compute_weights
 
 TIE_ATOL = 1e-12
 
-# Cells of the per-sample gain matrix that one block of evidence rows
-# gathers and weighs at once in _table_gains: 256 KB of float64, which
-# a core's cache holds. A line within it is reduced as one block.
+# Cells of the E x H_d distinct-column matrix that one block of evidence
+# rows gathers and weighs at once in _table_gains: 256 KB of float64,
+# which a core's cache holds. A line within it is reduced as one block.
 _GAIN_BLOCK_CELLS = 1 << 15
 
 
@@ -46,8 +46,9 @@ def expected_gains(matrix: np.ndarray, weights: np.ndarray | WeightVector) -> np
     the floating-point reduction order is fixed, which keeps results
     bit-identical across worker counts and BLAS builds. On a C-ordered
     matrix with two or more columns numpy's axis-0 sum adds the rows one
-    by one, in order, which :func:`decode` reproduces block by block from
-    the distinct gain table without building the matrix. A sum past the
+    by one, in order, which :func:`decode` reproduces block by block over
+    the E x H_d distinct hypothesis columns of the gain table, then
+    gathers to the H hypotheses, without building the matrix. A sum past the
     float range is +-inf with no warning; :func:`select` rejects it.
     """
     if isinstance(weights, WeightVector):
@@ -71,38 +72,44 @@ def _weighted_sum(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _table_gains(table: GainTable, weights: np.ndarray) -> np.ndarray:
-    """:func:`expected_gains` of ``table.matrix()``, bit for bit, without
-    building the per-sample matrix when it exceeds ``_GAIN_BLOCK_CELLS``.
+    """:func:`expected_gains` of ``table.matrix()``, bit for bit, from the
+    table's distinct hypothesis columns: E x H_d cells, not E x H.
 
-    The table's columns are gathered once; then each block of evidence
-    rows is gathered, weighed and summed with the running sum carried in
-    as its first row, which continues numpy's row-by-row accumulation. A
-    line that fits one block, has one hypothesis (whose column numpy sums
-    pairwise) or an external matrix (which may be F-ordered) is reduced
-    as :func:`expected_gains` reduces the gathered matrix. Memory is the
-    table, its gathered columns and two blocks, not 16 bytes per pair of
-    samples.
+    Each block of evidence rows is gathered from the table, weighed and
+    summed with the running sum carried in as its first row, which
+    continues numpy's row-by-row accumulation of every column; the H_d
+    sums are then gathered to the H hypotheses. Numpy sums a lone column
+    pairwise, so one hypothesis (H = 1) keeps the one-block expression at
+    any budget, and a lone distinct column (H_d = 1 < H) is reduced as
+    two copies, which numpy sums row by row as it does the H columns. An
+    external matrix (which may be F-ordered) is reduced as it is. Memory
+    is the table and two blocks, not 16 bytes per pair of samples.
     """
     if table.ev_inv is None:
         return _weighted_sum(table.table, weights)
-    height, width = len(table.ev_inv), len(table.hyp_inv)
-    if width == 1 or height * width <= _GAIN_BLOCK_CELLS:
+    width = len(table.hyp_inv)
+    if width == 1:
         return _weighted_sum(table.matrix(), weights)
-    cols = table.columns()
-    step = max(1, _GAIN_BLOCK_CELLS // width)
-    block = np.empty((min(step, height) + 1, width))  # row 0 holds the running sum
-    total = None
-    with np.errstate(over="ignore"):
-        for first in range(0, height, step):
-            rows = table.ev_inv[first:first + step]
-            weighed = np.multiply(weights[first:first + step, None], cols.take(rows, axis=0),
-                                  out=block[1:len(rows) + 1])
-            if total is None:
-                total = weighed.sum(axis=0)
-            else:
-                block[0] = total
-                total = block[:len(rows) + 1].sum(axis=0)
-    return total
+    distinct = table.table if table.table.shape[1] > 1 else table.table.take([0, 0], axis=1)
+    height, columns = len(table.ev_inv), distinct.shape[1]
+    step = max(1, _GAIN_BLOCK_CELLS // columns)
+    if height <= step:
+        rows = distinct if len(distinct) == height else distinct.take(table.ev_inv, axis=0)
+        total = _weighted_sum(rows, weights)
+    else:
+        block = np.empty((step + 1, columns))  # row 0 holds the running sum
+        total = None
+        with np.errstate(over="ignore"):
+            for first in range(0, height, step):
+                rows = table.ev_inv[first:first + step]
+                weighed = np.multiply(weights[first:first + step, None],
+                                      distinct.take(rows, axis=0), out=block[1:len(rows) + 1])
+                if total is None:
+                    total = weighed.sum(axis=0)
+                else:
+                    block[0] = total
+                    total = block[:len(rows) + 1].sum(axis=0)
+    return total if table.table.shape[1] == width else total.take(table.hyp_inv)
 
 
 def select(
@@ -164,11 +171,22 @@ def _decode_validated(
 ) -> DecodeResult:
     """The pipeline after validation, on an instance already validated:
     one gain table, whose interning also serves the weights and the
-    ``longest`` tie rule, reduced without the per-sample matrix."""
+    ``longest`` tie rule, reduced without the per-sample matrix. The
+    answer-match and external tables carry no token sequences, so when
+    the weights or the tie rule need lengths each side is interned here
+    once, and the hypotheses reuse the evidence's when they are it."""
     table = gain_table(inst, gain_spec)
-    wv = compute_weights(inst, weight_spec, gain_spec, table.ev_tokens)
+    ev_tokens, hyp_tokens = table.ev_tokens, table.hyp_tokens
+    if ev_tokens is None and weight_spec.kind in ("length_norm", "length_reward"):
+        ev_tokens = distinct_tokens(inst.evidence, gain_spec)
+    if hyp_tokens is None and tie_break == "longest":
+        if inst.hypotheses is inst.evidence and ev_tokens is not None:
+            hyp_tokens = ev_tokens
+        else:
+            hyp_tokens = distinct_tokens(inst.hypotheses, gain_spec)
+    wv = compute_weights(inst, weight_spec, gain_spec, ev_tokens)
     gains = _table_gains(table, wv.weights)
-    index, tie_broken = select(gains, inst.hypotheses, tie_break, gain_spec, table.hyp_tokens)
+    index, tie_broken = select(gains, inst.hypotheses, tie_break, gain_spec, hyp_tokens)
     return DecodeResult(
         selected_index=index,
         selected_text=inst.hypotheses[index].text,

@@ -7,9 +7,11 @@ bytes must be reproducible across runs, platforms, and worker counts.
 The emitter looks a value's type up in one type table, a subclass by
 its nearest base. Strings and keys are escaped by
 ``json.encoder.encode_basestring``, the function ``json.dumps`` itself
-uses with ``ensure_ascii=False``, and an array of plain finite floats is
-one ``%`` format of ``"%.17g"`` per element, the same text as
-:func:`format_float` gives each. Parsing builds a field's location only
+uses with ``ensure_ascii=False``. An array of plain finite floats formats
+each distinct value once with ``"%.17g"``, the same text as
+:func:`format_float` gives it, and joins the texts in order; one that
+holds a zero, whose two signs compare equal, or no repeat is one ``%``
+format of the whole array. Parsing builds a field's location only
 for its error, and reports any JSON the decoder rejects, an over-long
 integer included, as a ParseError.
 """
@@ -51,10 +53,15 @@ def _dumps_dict(value: dict) -> str:
 
 def _dumps_array(value) -> str:
     if _FLOAT_ONLY.issuperset(map(type, value)):
-        if all(map(math.isfinite, value)):
-            # "%.17g" is format(x, ".17g"): one conversion for the array.
+        distinct = dict.fromkeys(value)
+        if not all(map(math.isfinite, distinct)):
+            return "[" + ",".join(map(format_float, value)) + "]"  # raises at the first
+        # "%.17g" is format(x, ".17g"). +0.0 and -0.0 are one key but print
+        # as "0" and "-0", so an array holding a zero is formatted per element.
+        if len(distinct) == len(value) or 0.0 in distinct:
             return "[" + ("%.17g," * len(value))[:-1] % tuple(value) + "]"
-        return "[" + ",".join(map(format_float, value)) + "]"  # raises at the first
+        text = dict(zip(distinct, map("%.17g".__mod__, distinct)))
+        return "[" + ",".join(map(text.__getitem__, value)) + "]"
     return "[" + ",".join(map(dumps, value)) + "]"
 
 

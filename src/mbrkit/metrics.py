@@ -14,8 +14,9 @@ interned once: every candidate is tokenized once per distinct ``(text,
 tokens)`` pair, and a table is built once per pair of distinct keys.
 The table, the two inverses and the token sequences form one
 :class:`GainTable`, from which the decoder also takes its length
-weights and tie lengths and reduces the expected gains without
-gathering the table back per sample.
+weights and tie lengths and reduces the expected gains over the
+distinct hypothesis columns, gathering only their sums back to the
+hypothesis samples.
 The n-gram overlap kernel is defined in its signed-difference form,
 
     K(y, y') = 1 - |T(y) - T(y')|_1 / (|T(y)|_1 + |T(y')|_1)
@@ -451,19 +452,15 @@ class GainTable(NamedTuple):
         """The hypothesis interning as :func:`distinct_tokens` returns it, if any."""
         return None if self.hyp_seqs is None else (self.hyp_seqs, self.hyp_inv)
 
-    def columns(self) -> np.ndarray:
-        """The table with its columns gathered to one per hypothesis sample."""
-        if self.hyp_inv is None or len(self.hyp_inv) == self.table.shape[1]:
-            return self.table
-        return self.table.take(self.hyp_inv, axis=1)
-
     def matrix(self) -> np.ndarray:
         """The per-sample gain matrix in C order. Columns are gathered
         first: the row take then copies whole rows."""
-        cols = self.columns()
-        if self.ev_inv is None or len(self.ev_inv) == len(cols):
-            return cols
-        return cols.take(self.ev_inv, axis=0)
+        if self.ev_inv is None:
+            return self.table
+        cols = self.table
+        if len(self.hyp_inv) != cols.shape[1]:
+            cols = cols.take(self.hyp_inv, axis=1)
+        return cols if len(self.ev_inv) == len(cols) else cols.take(self.ev_inv, axis=0)
 
 
 def gain_table(inst: Instance, spec: GainSpec, jobs: int = 1) -> GainTable:

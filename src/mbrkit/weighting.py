@@ -147,8 +147,9 @@ def compute_weights(inst: Instance, spec: WeightSpec, gain_spec: GainSpec,
     equally, and a nan log weight is a DegenerateWeightsError; an
     instance without evidence is an EmptyEvidenceError for every kind.
     The length kinds take token counts from ``tokens``, the evidence
-    interning of :func:`mbrkit.metrics.distinct_tokens` (the gain table's,
-    when the decoder has one), or else intern the evidence themselves, so
+    interning of :func:`mbrkit.metrics.distinct_tokens` (the decoder
+    passes the gain table's, or one it builds for the gains whose table
+    holds no tokens), or else intern the evidence themselves, so
     each distinct ``(text, tokens)`` candidate is tokenized once; they
     correct all scores with one :func:`corrected_score` call.
     """

@@ -30,6 +30,7 @@ from mbrkit import (
     validate_instance,
 )
 from mbrkit.cli import run
+from mbrkit.metrics import gain_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ROUGE1 = GainSpec(kind="rouge_n_kernel", n=1)
@@ -211,9 +212,12 @@ def test_criterion_07_importance_sampling_correctness():
             Instance(id=f"is{k}", evidence=evidence, hypotheses=hypotheses),
             ROUGE1, UNIFORM,
         )
-        matrix = gain_matrix(inst, ROUGE1)
+        # One table per distribution: its evidence interning gives every
+        # correction its lengths, so the 100k samples are interned once.
+        table = gain_table(inst, ROUGE1)
+        matrix = table.matrix()
         for spec in specs:
-            weights = compute_weights(inst, spec, ROUGE1)
+            weights = compute_weights(inst, spec, ROUGE1, table.ev_tokens)
             estimate = expected_gains(matrix, weights)
             target = dist.corrected(spec)
             exact = np.array([target.expected_gain(s, ROUGE1) for s in space])

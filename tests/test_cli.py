@@ -189,14 +189,18 @@ class TestFloatArrayFormat:
     EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
                    1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e17, -1e16, 1e-17)
 
+    @classmethod
+    def finite_pool(cls, rng):
+        pool = [x for x in (struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+                            for _ in range(60000)) if math.isfinite(x)]
+        return pool + list(cls.EDGE_FLOATS) * 20
+
     def test_float_array_is_each_float_formatted(self):
         # Random finite bit patterns cover every exponent; the edges are
         # the zeros, subnormals, the largest double and where ".17g"
         # switches to exponent notation.
         rng = random.Random(74)
-        pool = [x for x in (struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
-                            for _ in range(60000)) if math.isfinite(x)]
-        pool += self.EDGE_FLOATS * 20
+        pool = self.finite_pool(rng)
         rng.shuffle(pool)
         start = 0
         while start < len(pool):
@@ -206,6 +210,22 @@ class TestFloatArrayFormat:
             want = "[" + ",".join(format(x, ".17g") for x in floats) + "]"
             assert dumps(floats) == want
             assert dumps(tuple(floats)) == want
+
+    def test_repeated_floats_are_each_float_formatted(self):
+        # Each distinct value is formatted once and its text repeated; the
+        # draws repeat a few values of the pool, its edge floats included,
+        # so both zeros and equal values of either sign meet in one array.
+        rng = random.Random(75)
+        pool = self.finite_pool(rng)
+        for _ in range(3000):
+            few = rng.sample(pool, rng.randrange(1, 6)) + rng.sample(self.EDGE_FLOATS, 1)
+            floats = [rng.choice(few) for _ in range(rng.randrange(1, 60))]
+            want = "[" + ",".join(map(format_float, floats)) + "]"
+            assert dumps(floats) == want
+            assert dumps(tuple(floats)) == want
+        floats = [0.0, -0.0, 0.0, -0.0, 0.5, 0.5]
+        assert dumps(floats) == "[" + ",".join(map(format_float, floats)) + "]"
+        assert dumps(floats) == "[0,-0,0,-0,0.5,0.5]"
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_nonfinite_float_in_an_array_raises_as_format_float(self, bad):
@@ -623,22 +643,27 @@ class TestDecodeCommand:
                                                           ["line 4", " UnicodeEncodeError"]]
             assert all(e.endswith("surrogates not allowed") for e in err)
 
-    @pytest.mark.parametrize("metric", ["rouge", "bleu", "exact"])
+    @pytest.mark.parametrize("metric", ["rouge", "bleu", "exact", "answer"])
     def test_one_tokenization_per_distinct_candidate_per_line(self, tmp_path, capsys,
                                                               monkeypatch, metric):
-        # The gain table's interning serves the gains, the length weights
-        # and the longest tie rule, so a whole decode tokenizes each
-        # distinct (text, tokens) candidate of a side once.
+        # The gain table's interning, or for the answer gain one interning
+        # built beside its table, serves the gains, the length weights and
+        # the longest tie rule, so a whole decode tokenizes each distinct
+        # (text, tokens) candidate of a side once.
         from mbrkit import decoder, metrics
 
         lines = [
-            # Shared sides: "a b" twice and its token twin tie for the top.
-            '{"id":"1","evidence":[{"text":"a b","score":-1},{"text":"a b","score":-1},'
-            '{"text":"a b c","score":-2},{"text":"b","score":-0.5},'
-            '{"text":"x","tokens":["a","b"],"score":-1}]}',
+            # Shared sides: "a b" twice and its token twin tie for the top;
+            # for the answer gain every candidate of answer "A" ties.
+            '{"id":"1","evidence":[{"text":"a b","score":-1,"answer":"A"},'
+            '{"text":"a b","score":-1,"answer":"A"},{"text":"a b c","score":-2,"answer":"A"},'
+            '{"text":"b","score":-0.5,"answer":"B"},'
+            '{"text":"x","tokens":["a","b"],"score":-1,"answer":"A"}]}',
             # Separate hypotheses, one of them twice.
-            '{"id":"2","evidence":[{"text":"c d","score":-1},{"text":"c d","score":-1},'
-            '{"text":"c","score":-2}],"hypotheses":[{"text":"c d"},{"text":"e"},{"text":"c d"}]}',
+            '{"id":"2","evidence":[{"text":"c d","score":-1,"answer":"A"},'
+            '{"text":"c d","score":-1,"answer":"A"},{"text":"c","score":-2,"answer":"B"}],'
+            '"hypotheses":[{"text":"c d","answer":"A"},{"text":"e","answer":"A"},'
+            '{"text":"c d","answer":"A"}]}',
         ]
         distinct_per_line = {"1": 4, "2": 2 + 2}
         inp = self.write_input(tmp_path, lines)

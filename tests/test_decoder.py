@@ -138,6 +138,31 @@ class TestTableReduction:
             self.check(rng, height, width, rows, cols)
         self.check(rng, 4096, 3, 6, 3)
 
+    @pytest.mark.parametrize("budget", [1, 64, 1 << 15])
+    def test_duplicate_heavy_hypotheses(self, monkeypatch, budget):
+        # A few distinct columns gathered to many hypotheses: the reduction
+        # runs over the E x H_d distinct columns, one row per block at
+        # budget 1, and gathers the sums to the hypotheses.
+        monkeypatch.setattr(decoder, "_GAIN_BLOCK_CELLS", budget)
+        rng = np.random.default_rng(1606 + budget)
+        for _ in range(30 if budget > 1 else 10):
+            height = int(rng.integers(1, 4097 if budget > 1 else 600))
+            width = int(rng.integers(2, 600))
+            self.check(rng, height, width, int(rng.integers(1, 40)), int(rng.integers(2, 9)))
+        for height in (4096, 1):
+            self.check(rng, height, 512, 24, 24)
+
+    @pytest.mark.parametrize("budget", [1, 7, 1 << 15])
+    def test_one_distinct_column_of_many_hypotheses(self, monkeypatch, budget):
+        # H_d = 1 < H: numpy would sum the lone distinct column pairwise,
+        # but sums the H gathered columns row by row, as two copies are.
+        monkeypatch.setattr(decoder, "_GAIN_BLOCK_CELLS", budget)
+        rng = np.random.default_rng(1607 + budget)
+        for height in (1, 2, 9, 17, 300, 1000, 4096):
+            for width in (2, 3, 64):
+                self.check(rng, height, width, 6, 1)
+                self.check(rng, height, width, height, 1)
+
     @pytest.mark.parametrize("budget", [1, 1 << 15])
     def test_one_hypothesis_is_one_block(self, monkeypatch, budget):
         # numpy sums a lone column pairwise, which a row-blocked sum would
@@ -168,8 +193,11 @@ class TestTableReduction:
         monkeypatch.setattr(decoder, "_GAIN_BLOCK_CELLS", 50)
         rng = np.random.default_rng(1605)
         weight = WeightSpec(kind="length_norm", beta=0.7)
-        for n_evidence, n_hypotheses in ((40, None), (40, 9), (25, 1), (7, None)):
-            inst = random_instance(rng, n_evidence, n_hypotheses)
+        cases = [random_instance(rng, n_evidence, n_hypotheses)
+                 for n_evidence, n_hypotheses in ((40, None), (40, 9), (25, 1), (7, None))]
+        one = random_instance(rng, 40, 1)
+        cases.append(replace(one, hypotheses=one.hypotheses * 9))  # all hypotheses identical
+        for inst in cases:
             evidence = tuple(replace(c, score=-float(len(c.tokens)), answer=c.tokens[0])
                              for c in inst.evidence)
             hypotheses = inst.hypotheses and tuple(replace(c, answer=c.tokens[0])
