@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MbrError, NonFiniteValueError, ShapeMismatchError, with_instance_id
-from .metrics import GainTable, candidate_tokens, distinct_tokens, gain_matrix, gain_table
+from .metrics import GainTable, distinct_tokens, gain_matrix, gain_table
 from .types import (
     TIE_BREAKS,
     Candidate,
@@ -35,7 +35,8 @@ TIE_ATOL = 1e-12
 
 # Cells of the E x H_d distinct-column matrix that one block of evidence
 # rows gathers and weighs at once in _table_gains: 256 KB of float64,
-# which a core's cache holds. A line within it is reduced as one block.
+# which a core's cache holds. A line within it is one block, one pass of
+# the block loop.
 _GAIN_BLOCK_CELLS = 1 << 15
 
 
@@ -75,9 +76,11 @@ def _table_gains(table: GainTable, weights: np.ndarray) -> np.ndarray:
     """:func:`expected_gains` of ``table.matrix()``, bit for bit, from the
     table's distinct hypothesis columns: E x H_d cells, not E x H.
 
-    Each block of evidence rows is gathered from the table, weighed and
-    summed with the running sum carried in as its first row, which
-    continues numpy's row-by-row accumulation of every column; the H_d
+    One loop takes blocks of evidence rows from the table, weighs each in
+    place and sums it, from the second block on with the running sum
+    concatenated in front as its first row, which continues numpy's
+    row-by-row accumulation of every column; a line within the budget is
+    one block, so its sum is :func:`expected_gains`'s expression. The H_d
     sums are then gathered to the H hypotheses. Numpy sums a lone column
     pairwise, so one hypothesis (H = 1) keeps the one-block expression at
     any budget, and a lone distinct column (H_d = 1 < H) is reduced as
@@ -91,24 +94,15 @@ def _table_gains(table: GainTable, weights: np.ndarray) -> np.ndarray:
     if width == 1:
         return _weighted_sum(table.matrix(), weights)
     distinct = table.table if table.table.shape[1] > 1 else table.table.take([0, 0], axis=1)
-    height, columns = len(table.ev_inv), distinct.shape[1]
-    step = max(1, _GAIN_BLOCK_CELLS // columns)
-    if height <= step:
-        rows = distinct if len(distinct) == height else distinct.take(table.ev_inv, axis=0)
-        total = _weighted_sum(rows, weights)
-    else:
-        block = np.empty((step + 1, columns))  # row 0 holds the running sum
-        total = None
-        with np.errstate(over="ignore"):
-            for first in range(0, height, step):
-                rows = table.ev_inv[first:first + step]
-                weighed = np.multiply(weights[first:first + step, None],
-                                      distinct.take(rows, axis=0), out=block[1:len(rows) + 1])
-                if total is None:
-                    total = weighed.sum(axis=0)
-                else:
-                    block[0] = total
-                    total = block[:len(rows) + 1].sum(axis=0)
+    step = max(1, _GAIN_BLOCK_CELLS // distinct.shape[1])
+    total = None
+    with np.errstate(over="ignore"):
+        for first in range(0, len(table.ev_inv), step):
+            block = distinct.take(table.ev_inv[first:first + step], axis=0)
+            block *= weights[first:first + step, None]
+            if total is not None:
+                block = np.concatenate((total[None], block))
+            total = block.sum(axis=0)
     return total if table.table.shape[1] == width else total.take(table.hyp_inv)
 
 
@@ -127,9 +121,9 @@ def select(
     the lowest index, ``highest_score`` prefers the largest candidate
     score (missing scores rank lowest), and ``longest`` prefers the most
     tokens, read from the hypotheses' interning ``tokens`` (sequences and
-    inverse, as :func:`mbrkit.metrics.distinct_tokens` returns them) when
-    given and else tokenized per tied hypothesis; both fall back to the
-    lowest index among remaining equals.
+    inverse, as :func:`mbrkit.metrics.distinct_tokens` returns them), which
+    is built here when not given; both fall back to the lowest index among
+    remaining equals.
     An unknown rule is rejected whether or not there is a tie, and a
     non-finite gain, which no tie rule can order, is a NonFiniteValueError.
     """
@@ -153,16 +147,11 @@ def select(
         def key(i: int) -> float:
             score = hypotheses[i].score
             return -math.inf if score is None else score
-    elif tokens is not None:
-        seqs, inverse = tokens
+    else:
+        seqs, inverse = tokens or distinct_tokens(hypotheses, gain_spec or GainSpec())
 
         def key(i: int) -> float:
             return float(len(seqs[inverse[i]]))
-    else:
-        spec = gain_spec if gain_spec is not None else GainSpec()
-
-        def key(i: int) -> float:
-            return float(len(candidate_tokens(hypotheses[i], spec)))
     return max(tied, key=lambda i: (key(i), -i)), True
 
 
@@ -173,17 +162,15 @@ def _decode_validated(
     one gain table, whose interning also serves the weights and the
     ``longest`` tie rule, reduced without the per-sample matrix. The
     answer-match and external tables carry no token sequences, so when
-    the weights or the tie rule need lengths each side is interned here
-    once, and the hypotheses reuse the evidence's when they are it."""
+    the length weights need them the evidence is interned here once; the
+    hypotheses reuse that interning when they are the evidence, and else
+    :func:`select` interns them if its tie rule needs lengths."""
     table = gain_table(inst, gain_spec)
     ev_tokens, hyp_tokens = table.ev_tokens, table.hyp_tokens
     if ev_tokens is None and weight_spec.kind in ("length_norm", "length_reward"):
         ev_tokens = distinct_tokens(inst.evidence, gain_spec)
-    if hyp_tokens is None and tie_break == "longest":
-        if inst.hypotheses is inst.evidence and ev_tokens is not None:
-            hyp_tokens = ev_tokens
-        else:
-            hyp_tokens = distinct_tokens(inst.hypotheses, gain_spec)
+    if hyp_tokens is None and inst.hypotheses is inst.evidence:
+        hyp_tokens = ev_tokens
     wv = compute_weights(inst, weight_spec, gain_spec, ev_tokens)
     gains = _table_gains(table, wv.weights)
     index, tie_broken = select(gains, inst.hypotheses, tie_break, gain_spec, hyp_tokens)

@@ -10,8 +10,8 @@ its nearest base. Strings and keys are escaped by
 uses with ``ensure_ascii=False``. An array of plain finite floats formats
 each distinct value once with ``"%.17g"``, the same text as
 :func:`format_float` gives it, and joins the texts in order; one that
-holds a zero, whose two signs compare equal, or no repeat is one ``%``
-format of the whole array. Parsing builds a field's location only
+holds a zero, whose two signs compare equal, is one ``%`` format of the
+whole array. Parsing builds a field's location only
 for its error, and reports any JSON the decoder rejects, an over-long
 integer included, as a ParseError.
 """
@@ -24,7 +24,7 @@ from json.encoder import encode_basestring
 from typing import IO, Iterable, Iterator
 
 from .errors import ParseError, SchemaError
-from .types import Candidate, DecodeResult, Instance, _candidate
+from .types import Candidate, DecodeResult, Instance
 
 
 def format_float(x: float) -> str:
@@ -58,7 +58,7 @@ def _dumps_array(value) -> str:
             return "[" + ",".join(map(format_float, value)) + "]"  # raises at the first
         # "%.17g" is format(x, ".17g"). +0.0 and -0.0 are one key but print
         # as "0" and "-0", so an array holding a zero is formatted per element.
-        if len(distinct) == len(value) or 0.0 in distinct:
+        if 0.0 in distinct:
             return "[" + ("%.17g," * len(value))[:-1] % tuple(value) + "]"
         text = dict(zip(distinct, map("%.17g".__mod__, distinct)))
         return "[" + ",".join(map(text.__getitem__, value)) + "]"
@@ -132,7 +132,7 @@ def _parse_candidates(value, line: int, side: str) -> tuple[Candidate, ...]:
         model_id = obj.get("model_id")
         if model_id is not None and not isinstance(model_id, str):
             raise SchemaError(line, f"{side}[{i}].model_id", "must be a string")
-        parsed.append(_candidate(text, tokens, score, answer, model_id))
+        parsed.append(Candidate(text, tokens, score, answer, model_id))
     return tuple(parsed)
 
 

@@ -3,18 +3,19 @@
 All types are plain frozen dataclasses: structurally comparable, and
 safe to share across parallel workers once validated.
 Constructors normalize: a :class:`Candidate` holds its tokens as a tuple
-from construction, by one rule (:func:`_tokens_tuple`) shared with
-:func:`_candidate`, the parser's fast constructor, which fills a new
-instance's ``__dict__`` in one assignment and skips the dataclass
-``__init__``. The invariant checks stay in :func:`validate_instance`,
-not in the constructors, so that IO layers can build partially-checked
-objects and report schema problems with their own context.
+from construction. Its one constructor, which the parser calls too, fills
+the new instance's ``__dict__`` in one assignment in place of the
+dataclass ``__init__``. The invariant checks stay in
+:func:`validate_instance`, not in the constructors, so that IO layers can
+build partially-checked objects and report schema problems with their
+own context.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .errors import (
     ConfigError,
@@ -36,16 +37,16 @@ TIE_BREAKS = ("first", "highest_score", "longest")
 SCORE_WEIGHT_KINDS = ("temperature", "length_norm", "length_reward")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Candidate:
     """One sampled output.
 
     ``tokens`` are authoritative once present, and are stored as a tuple
-    whatever sequence of strings is given (``None`` stays ``None``), so
-    equal candidates hash alike; ``text`` is for display and IO.
-    ``score`` is the natural-log probability of the sequence under its
-    generator (nats); it is optional because uniform weighting needs no
-    probabilities. ``answer`` is a pre-extracted final answer for
+    whatever sequence of strings is given (``None`` and a tuple stay as
+    they are), so equal candidates hash alike; ``text`` is for display
+    and IO. ``score`` is the natural-log probability of the sequence under
+    its generator (nats); it is optional because uniform weighting needs
+    no probabilities. ``answer`` is a pre-extracted final answer for
     answer-match gains; ``model_id`` tags the generator for mixture
     weighting.
     """
@@ -56,25 +57,20 @@ class Candidate:
     answer: str | None = None
     model_id: str | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", _tokens_tuple(self.tokens))
-
-
-def _tokens_tuple(tokens):
-    """The one rule for ``Candidate.tokens``: any sequence of strings as a
-    tuple; ``None`` and a tuple stay as they are."""
-    return tokens if tokens is None or isinstance(tokens, tuple) else tuple(tokens)
-
-
-def _candidate(text, tokens, score, answer, model_id) -> Candidate:
-    """``Candidate(text, tokens, score, answer, model_id)`` at about half
-    the cost, for the parser: the same fields, tuple rule and values, so
-    the result equals, hashes, prints and ``replace``-s as the dataclass
-    built one does."""
-    c = object.__new__(Candidate)
-    object.__setattr__(c, "__dict__", {"text": text, "tokens": _tokens_tuple(tokens),
-                                       "score": score, "answer": answer, "model_id": model_id})
-    return c
+    def __init__(
+        self,
+        text: str,
+        tokens: Iterable[str] | None = None,
+        score: float | None = None,
+        answer: str | None = None,
+        model_id: str | None = None,
+    ):
+        # The fields as the dataclass __init__ would set them, in one
+        # assignment: about half its cost per candidate.
+        if tokens is not None and not isinstance(tokens, tuple):
+            tokens = tuple(tokens)
+        object.__setattr__(self, "__dict__", {"text": text, "tokens": tokens, "score": score,
+                                              "answer": answer, "model_id": model_id})
 
 
 @dataclass(frozen=True)
@@ -107,6 +103,10 @@ class GainSpec:
     def __post_init__(self):
         if self.kind not in GAIN_KINDS:
             raise ConfigError(f"unknown gain kind {self.kind!r}; expected one of {GAIN_KINDS}")
+        for name in ("n", "max_order"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ConfigError(f"n-gram order must be >= 1, got {self.n}")
         if self.max_order < 1:

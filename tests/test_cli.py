@@ -675,7 +675,6 @@ class TestDecodeCommand:
             return tokens(c, spec)
 
         monkeypatch.setattr(metrics, "candidate_tokens", counted)
-        monkeypatch.setattr(decoder, "candidate_tokens", counted)
         code, out, _ = self.run_captured(capsys, [
             "decode", "--metric", metric, "--weighting", "length-norm", "--beta", "1",
             "--tie-break", "longest", "--input", str(inp)])

@@ -1,6 +1,7 @@
 """Tests for domain types and instance validation."""
 
 import dataclasses
+import inspect
 import math
 import pickle
 
@@ -62,6 +63,40 @@ class TestCandidate:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 got.text = "z"
 
+    FIELDS = ("text", "tokens", "score", "answer", "model_id")
+
+    def test_constructor_signature_and_fields(self):
+        params = inspect.signature(Candidate).parameters
+        assert tuple(params) == self.FIELDS
+        assert params["text"].default is inspect.Parameter.empty
+        assert all(params[name].default is None for name in self.FIELDS[1:])
+        assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params.values())
+        fields = dataclasses.fields(Candidate)
+        assert tuple(f.name for f in fields) == self.FIELDS
+        assert fields[0].default is dataclasses.MISSING
+        assert all(f.default is None for f in fields[1:])
+        assert Candidate.__match_args__ == self.FIELDS
+        match Candidate("a b", ["a", "b"], -1.0):
+            case Candidate(text, tokens, score, None, None):
+                assert (text, tokens, score) == ("a b", ("a", "b"), -1.0)
+            case _:
+                pytest.fail("positional pattern did not match")
+
+    def test_constructor_rejects_missing_and_unknown_arguments(self):
+        with pytest.raises(TypeError):
+            Candidate()
+        with pytest.raises(TypeError):
+            Candidate("a", bogus=1)
+        with pytest.raises(TypeError):
+            Candidate("a", None, None, None, None, None)
+
+    def test_keyword_and_positional_construction_agree(self):
+        by_keyword = Candidate(model_id="m", answer="7", score=-1.5, tokens=["a"], text="a")
+        by_position = Candidate("a", ["a"], -1.5, "7", "m")
+        assert list(vars(by_keyword).items()) == list(vars(by_position).items())
+        assert list(vars(by_keyword)) == list(self.FIELDS)
+        assert list(vars(Candidate("a"))) == list(self.FIELDS)
+
 
 class TestGainSpec:
     def test_defaults(self):
@@ -85,6 +120,15 @@ class TestGainSpec:
     def test_rejects_unknown_tokenizer(self):
         with pytest.raises(ConfigError):
             GainSpec(tokenizer="bpe")
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "2", True, None])
+    def test_rejects_orders_that_are_not_integers(self, bad):
+        # A non-integer order would fail every gain call with a bare
+        # TypeError, not an MbrError; a bool is refused as the parser does.
+        with pytest.raises(ConfigError, match=r"^n must be an integer"):
+            GainSpec(n=bad)
+        with pytest.raises(ConfigError, match=r"^max_order must be an integer"):
+            GainSpec(kind="sentence_bleu", max_order=bad)
 
 
 class TestWeightSpec:
