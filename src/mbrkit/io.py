@@ -7,7 +7,8 @@ bytes must be reproducible across runs, platforms, and worker counts.
 The emitter looks a value's type up in one type table, a subclass by
 its nearest base. Strings and keys are escaped by
 ``json.encoder.encode_basestring``, the function ``json.dumps`` itself
-uses with ``ensure_ascii=False``. An array of plain finite floats formats
+uses with ``ensure_ascii=False``, and a key of another type is written
+as ``json.dumps`` writes it. An array of plain finite floats formats
 each distinct value once with ``"%.17g"``, the same text as
 :func:`format_float` gives it, and joins the texts in order; one that
 holds a zero, whose two signs compare equal, is one ``%`` format of the
@@ -46,9 +47,15 @@ class RawJson(str):
 _FLOAT_ONLY = frozenset((float,))
 
 
+def _dumps_key(key) -> str:
+    """A dict key as ``json.dumps`` writes it, cut from ``{"key": 0}``; a
+    non-finite float raises ValueError, as a non-finite value does."""
+    return json.dumps({key: 0}, ensure_ascii=False, allow_nan=False)[1:-4]
+
+
 def _dumps_dict(value: dict) -> str:
-    return "{" + ",".join([encode_basestring(k if type(k) is str else str(k)) + ":" + dumps(v)
-                           for k, v in value.items()]) + "}"
+    return "{" + ",".join([(encode_basestring(k) if type(k) is str else _dumps_key(k))
+                           + ":" + dumps(v) for k, v in value.items()]) + "}"
 
 
 def _dumps_array(value) -> str:
@@ -186,16 +193,8 @@ def read_instances(stream: IO[str]) -> list[Instance]:
 
 
 def _candidate_record(c: Candidate) -> dict:
-    record: dict = {"text": c.text}
-    if c.tokens is not None:
-        record["tokens"] = c.tokens
-    if c.score is not None:
-        record["score"] = c.score
-    if c.answer is not None:
-        record["answer"] = c.answer
-    if c.model_id is not None:
-        record["model_id"] = c.model_id
-    return record
+    """The candidate's fields in declaration order, less the absent optional ones."""
+    return {k: v for k, v in vars(c).items() if v is not None or k == "text"}
 
 
 def write_instances(instances: Iterable[Instance], stream: IO[str]) -> None:

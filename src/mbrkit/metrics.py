@@ -10,8 +10,9 @@ answer for ``answer_match`` (self-consistency) or the token sequence
 for ``exact_match`` (mode seeking); the n-gram gains are the ROUGE-n
 overlap kernel and sentence BLEU. Evidence samples repeat, since
 duplicates carry probability mass, so each side of an instance is
-interned once: every candidate is tokenized once per distinct ``(text,
-tokens)`` pair, and a table is built once per pair of distinct keys.
+interned once on one key, the stripped answer for ``answer_match`` and
+else the token sequence, tokenized once per distinct raw ``(text,
+tokens)`` pair; a table is built once per pair of distinct keys.
 The table, the two inverses and the token sequences form one
 :class:`GainTable`, from which the decoder also takes its length
 weights and tie lengths and reduces the expected gains over the
@@ -83,39 +84,32 @@ def candidate_tokens(c: Candidate, spec: GainSpec) -> tuple[str, ...]:
 
 
 def distinct_tokens(cands, spec: GainSpec) -> tuple[list[tuple[str, ...]], np.ndarray]:
-    """Token sequences of the distinct candidates and each candidate's
-    index among them.
-
-    Candidates are interned on their raw ``(text, tokens)`` pair, which
-    determines the token sequence, so :func:`candidate_tokens` runs once
-    per distinct pair; ``seqs[inverse[i]]`` is candidate ``i``'s sequence.
-    """
+    """The distinct token sequences of the candidates in order of first
+    occurrence, and each candidate's index among them: ``seqs[inverse[i]]``
+    is candidate ``i``'s. :func:`candidate_tokens` runs once per distinct
+    raw ``(text, tokens)`` pair; raw pairs with one sequence (in other
+    casing or spacing, or as tokens) share its index."""
+    raw: dict = {}
     ids: dict = {}
-    seqs: list[tuple[str, ...]] = []
     inverse: list[int] = []
     for c in cands:
-        j = ids.setdefault((c.text, c.tokens), len(ids))
-        if j == len(seqs):
-            seqs.append(candidate_tokens(c, spec))
+        j = raw.get((c.text, c.tokens))
+        if j is None:
+            j = raw[c.text, c.tokens] = ids.setdefault(candidate_tokens(c, spec), len(ids))
         inverse.append(j)
-    return seqs, np.array(inverse, dtype=np.intp)
+    return list(ids), np.array(inverse, dtype=np.intp)
 
 
-def _distinct_keys(cands, spec: GainSpec, side: str) -> tuple[list, np.ndarray]:
-    """The distinct keys of one side in order of first occurrence and each
-    candidate's index among them: the stripped answer for ``answer_match``
-    (MissingAnswerError at the first candidate without one), else the token
-    sequence of :func:`distinct_tokens`."""
+def _distinct_answers(cands, side: str) -> tuple[list[str], np.ndarray]:
+    """The distinct stripped answers of one side in order of first occurrence
+    and each candidate's index among them; MissingAnswerError at the first
+    candidate without one."""
+    answers = [c.answer for c in cands]
+    if None in answers:
+        raise MissingAnswerError(f"{side}[{answers.index(None)}] has no extracted answer")
     ids: dict = {}
-    if spec.kind == "answer_match":
-        answers = [c.answer for c in cands]
-        if None in answers:
-            raise MissingAnswerError(f"{side}[{answers.index(None)}] has no extracted answer")
-        inverse = np.array([ids.setdefault(a.strip(), len(ids)) for a in answers])
-        return list(ids), inverse
-    seqs, inverse = distinct_tokens(cands, spec)
-    key_of = [ids.setdefault(s, len(ids)) for s in seqs]
-    return list(ids), inverse if len(ids) == len(seqs) else np.array(key_of)[inverse]
+    inverse = np.array([ids.setdefault(a.strip(), len(ids)) for a in answers])
+    return list(ids), inverse
 
 
 @dataclass(frozen=True)
@@ -424,16 +418,16 @@ def _ngram_gains(ev_keys: list, hyp_keys: list, spec: GainSpec, jobs: int) -> np
 
 
 class GainTable(NamedTuple):
-    """The gains of one instance as a table over its distinct candidates.
+    """The gains of one instance as a table over its distinct keys.
 
-    ``table[ev_inv[i], hyp_inv[j]]`` is G(evidence_i, hypothesis_j). Each
-    side's distinct candidates are numbered in order of first occurrence,
-    so a side without duplicates has the identity inverse and its rows (or
-    columns) are already in sample order; an external matrix has no
+    ``table[ev_inv[i], hyp_inv[j]]`` is G(evidence_i, hypothesis_j). Rows
+    and columns are each side's distinct keys in order of first occurrence,
+    so a side without a repeated key has the identity inverse and its rows
+    (or columns) are already in sample order; an external matrix has no
     inverses and is the per-sample matrix itself. ``ev_seqs`` and
-    ``hyp_seqs`` are the token sequences of the distinct rows and columns
-    (``ev_seqs[ev_inv[i]]`` is evidence i's) for the gains that tokenize,
-    and None for ``answer_match`` and ``external``.
+    ``hyp_seqs`` are the keys, the distinct token sequences, for the gains
+    that tokenize (``ev_seqs[ev_inv[i]]`` is evidence i's), and None for
+    ``answer_match`` (keyed on stripped answers) and ``external``.
     """
 
     table: np.ndarray
@@ -464,47 +458,46 @@ class GainTable(NamedTuple):
 
 
 def gain_table(inst: Instance, spec: GainSpec, jobs: int = 1) -> GainTable:
-    """The instance's gains over its distinct candidates, each side interned once.
+    """The instance's gains over its distinct keys, each side interned once.
 
-    One branch per gain family. ``external`` holds the instance's matrix
-    as is. Key match numbers each side's distinct keys, the stripped
-    answer (``answer_match``) or the token sequence (``exact_match``); the
-    table is the identity when the sides are shared and one
-    ``np.equal.outer`` of the keys' evidence rows otherwise. The n-gram gains,
-    ``rouge_n_kernel`` and ``sentence_bleu``, run once per pair of
-    distinct candidates; the postings of both sides come from one
-    :func:`_ngram_postings` call, and ``jobs`` > 1 runs the blocks of
-    evidence rows, each joined and finished, on one thread pool. Token
-    sequences come from :func:`distinct_tokens`, once per distinct raw
-    ``(text, tokens)`` pair. Every cell is a function of its pair's keys
-    alone and the join's sums are exact integers, so the gathered table is
-    the per-sample table bit for bit, whatever ``jobs``. When the
-    hypotheses are the evidence (absent, or the same tuple, as
-    :func:`mbrkit.types.validate_instance` leaves them), one side's
-    interning, ids and postings serve both.
+    ``external`` holds the instance's matrix as is. Every other gain
+    interns each side in one step, on the stripped answer for
+    ``answer_match`` and on the token sequence of :func:`distinct_tokens`
+    (tokenized once per distinct raw ``(text, tokens)`` pair) otherwise,
+    and builds the table in one more. Key match is the identity when the
+    sides are shared and one ``np.equal.outer`` of the keys' evidence rows
+    otherwise. The n-gram gains, ``rouge_n_kernel`` and ``sentence_bleu``,
+    run once per pair of distinct sequences; the postings of both sides
+    come from one :func:`_ngram_postings` call, and ``jobs`` > 1 runs the
+    blocks of evidence rows, each joined and finished, on one thread pool.
+    Every cell is a function of its pair's keys alone and the join's sums
+    are exact integers, so the gathered table is the per-sample table bit
+    for bit, whatever ``jobs``. When the hypotheses are the evidence
+    (absent, or the same tuple, as :func:`mbrkit.types.validate_instance`
+    leaves them), one side's interning, ids and postings serve both.
     """
     if spec.kind == "external":
         return GainTable(np.asarray(require_external_gain(inst, spec), dtype=np.float64))
 
     hyps = inst.hypotheses if inst.hypotheses is not None else inst.evidence
     shared = hyps is inst.evidence
-    if spec.kind in ("exact_match", "answer_match"):
-        ev_keys, ev_inv = _distinct_keys(inst.evidence, spec, "evidence")
-        if shared:
-            hyp_keys, hyp_inv, table = ev_keys, ev_inv, np.eye(len(ev_keys))
-        else:
-            hyp_keys, hyp_inv = _distinct_keys(hyps, spec, "hypotheses")
-            row_of = {k: i for i, k in enumerate(ev_keys)}
-            rows = np.array([row_of.get(k, -1) for k in hyp_keys])
-            table = np.equal.outer(np.arange(len(ev_keys)), rows).astype(np.float64)
-        if spec.kind == "answer_match":
-            return GainTable(table, ev_inv, hyp_inv)
-        return GainTable(table, ev_inv, hyp_inv, ev_keys, hyp_keys)
-
-    ev_seqs, ev_inv = distinct_tokens(inst.evidence, spec)
-    hyp_seqs, hyp_inv = (ev_seqs, ev_inv) if shared else distinct_tokens(hyps, spec)
-    table = _ngram_gains(ev_seqs, hyp_seqs, spec, jobs)
-    return GainTable(table, ev_inv, hyp_inv, ev_seqs, hyp_seqs)
+    if spec.kind == "answer_match":
+        ev_keys, ev_inv = _distinct_answers(inst.evidence, "evidence")
+        hyp_keys, hyp_inv = (ev_keys, ev_inv) if shared else _distinct_answers(hyps, "hypotheses")
+    else:
+        ev_keys, ev_inv = distinct_tokens(inst.evidence, spec)
+        hyp_keys, hyp_inv = (ev_keys, ev_inv) if shared else distinct_tokens(hyps, spec)
+    if spec.kind not in ("exact_match", "answer_match"):
+        table = _ngram_gains(ev_keys, hyp_keys, spec, jobs)
+    elif shared:
+        table = np.eye(len(ev_keys))
+    else:
+        row_of = {k: i for i, k in enumerate(ev_keys)}
+        rows = np.array([row_of.get(k, -1) for k in hyp_keys])
+        table = np.equal.outer(np.arange(len(ev_keys)), rows).astype(np.float64)
+    if spec.kind == "answer_match":
+        return GainTable(table, ev_inv, hyp_inv)
+    return GainTable(table, ev_inv, hyp_inv, ev_keys, hyp_keys)
 
 
 def gain_matrix(inst: Instance, spec: GainSpec, jobs: int = 1) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import io as stdio
 import sys
 from collections import Counter
+from dataclasses import replace
 from typing import IO
 
 import numpy as np
@@ -44,6 +45,14 @@ def _random_instance(rng: np.random.Generator, n_evidence=6, with_extras=False) 
         return Candidate(text=" ".join(tokens), tokens=tokens, **extras)
 
     return Instance(id="chk", evidence=tuple(cand() for _ in range(n_evidence)))
+
+
+def _scored_instance(rng: np.random.Generator) -> Instance:
+    """A random instance with extras whose zero-token candidates are padded
+    to "a": the length-corrected kinds reject zero-token candidates."""
+    inst = _random_instance(rng, with_extras=True)
+    return replace(inst, evidence=tuple(c if c.tokens else replace(c, text="a", tokens=("a",))
+                                        for c in inst.evidence))
 
 
 def check_kernel_identity() -> None:
@@ -140,16 +149,7 @@ def check_degeneracy() -> None:
         WeightSpec(kind="length_reward", gamma=0.0),
     ]
     for _ in range(30):
-        inst = _random_instance(rng, with_extras=True)
-        # Length-corrected kinds reject zero-token candidates, so pad them.
-        inst = Instance(
-            id=inst.id,
-            evidence=tuple(
-                c if c.tokens else Candidate(text="a", tokens=("a",), score=c.score,
-                                             answer=c.answer, model_id=c.model_id)
-                for c in inst.evidence
-            ),
-        )
+        inst = _scored_instance(rng)
         base = compute_weights(inst, uniform, gain).weights
         for spec in degenerate:
             w = compute_weights(inst, spec, gain).weights
@@ -166,15 +166,7 @@ def check_weight_normalization() -> None:
         WeightSpec(kind="mixture", mixture_weights={"m0": 0.6, "m1": 0.4}),
     ]
     for _ in range(50):
-        inst = _random_instance(rng, with_extras=True)
-        inst = Instance(
-            id=inst.id,
-            evidence=tuple(
-                c if c.tokens else Candidate(text="a", tokens=("a",), score=c.score,
-                                             answer=c.answer, model_id=c.model_id)
-                for c in inst.evidence
-            ),
-        )
+        inst = _scored_instance(rng)
         for spec in specs:
             wv = compute_weights(inst, spec, gain)
             assert abs(float(np.sum(wv.weights)) - 1.0) <= 1e-9

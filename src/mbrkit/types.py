@@ -14,6 +14,7 @@ own context.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -139,6 +140,15 @@ class WeightSpec:
     def __post_init__(self):
         if self.kind not in WEIGHT_KINDS:
             raise ConfigError(f"unknown weighting kind {self.kind!r}; expected one of {WEIGHT_KINDS}")
+        # Real numbers only: a bool, refused as by GainSpec, would echo as ``true``.
+        mixture = self.mixture_weights
+        if mixture is not None and not (isinstance(mixture, dict)
+                                        and all(isinstance(k, str) for k in mixture)):
+            raise ConfigError(f"mixture weights must map str model ids to numbers, got {mixture!r}")
+        for name, value in [("tau", self.tau), ("beta", self.beta), ("gamma", self.gamma),
+                            *((f"mixture weight {k!r}", w) for k, w in (mixture or {}).items())]:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"weighting {name} must be a real number, got {value!r}")
         if self.kind == "temperature" and not self.tau > 0:
             raise ConfigError(f"temperature tau must be > 0, got {self.tau}")
         # The config echo carries every parameter, and JSON has no inf or nan.
@@ -237,10 +247,11 @@ def validate_instance(
     gain and weighting specs.
     Idempotent: validating a validated instance returns an equal instance.
 
-    With ``dedup_hypotheses`` the hypothesis list keeps the first of each
-    token sequence, tokenized once per distinct candidate by
-    :func:`mbrkit.metrics.distinct_tokens`; external gain columns are
-    sliced to match. Off by default because it changes tie-break outcomes.
+    With ``dedup_hypotheses`` the hypothesis list keeps the first sample
+    of each id of :func:`mbrkit.metrics.distinct_tokens`, that is of each
+    token sequence, tokenized once per distinct raw candidate; external
+    gain columns are sliced to match. Off by default because it changes
+    tie-break outcomes.
     """
     evidence = tuple(inst.evidence)
     if not evidence:
@@ -272,9 +283,11 @@ def validate_instance(
         # Local import: metrics depends on this module for GainSpec.
         from .metrics import distinct_tokens
 
-        seqs, inverse = distinct_tokens(hypotheses, gain)
-        first: dict = {}
-        keep = [j for j, k in enumerate(inverse.tolist()) if first.setdefault(seqs[k], j) == j]
+        # Ids count up from 0 in order of first occurrence.
+        keep: list[int] = []
+        for j, k in enumerate(distinct_tokens(hypotheses, gain)[1].tolist()):
+            if k == len(keep):
+                keep.append(j)
         if len(keep) != len(hypotheses):
             hypotheses = tuple(hypotheses[j] for j in keep)
             if external is not None:

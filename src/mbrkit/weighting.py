@@ -13,6 +13,7 @@ of any bias correction.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -113,9 +114,7 @@ def _mixture_weights(inst: Instance, spec: WeightSpec) -> tuple[np.ndarray, np.n
     else:
         pi = dict(spec.mixture_weights)
     pi_total = sum(pi.values())
-    counts: dict[str, int] = {}
-    for m in model_ids:
-        counts[m] = counts.get(m, 0) + 1
+    counts = Counter(model_ids)
     # Each model's n_k samples share that model's probability mass pi_k.
     raw = np.array([pi[m] / pi_total / counts[m] for m in model_ids])
     total = raw.sum()

@@ -6,6 +6,7 @@ benchmark without failing any other test. Each workload decodes a small
 batch here in process through the CLI and through the harness's passes.
 """
 
+import hashlib
 import importlib.util
 import json
 import sys
@@ -13,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from mbrkit import metrics, types
 from mbrkit.cli import run
+from mbrkit.io import parse_instance_line
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -36,6 +39,16 @@ def harness():
     return load_bench_module("workloads"), load_bench_module("tracing")
 
 
+# SHA-256 of the CLI output of each workload's seed-1 batch (3, 3 and 200
+# lines): a change that moves any byte of the three workloads' output
+# fails here, and only a change meant to move them re-pins these.
+CLI_DIGESTS = {
+    "rouge1-dup": "d953d6d1c3b8025c3d3299877d6d17feb28287e46d96caa3f043260763466545",
+    "bleu4-distinct": "90dd3c4a51fdf04e98ceb343a49ad9511e0a6a3c27e93c91f4982ab91e7e8279",
+    "vote-batch": "f14d59b1335bc4ded0bea30684222354b0dba459651a85e3d5378399ba09d5e8",
+}
+
+
 @pytest.mark.parametrize("name, lines", [("rouge1-dup", 3), ("bleu4-distinct", 3),
                                          ("vote-batch", 200)])
 def test_trace_passes_give_the_cli_output(tmp_path, harness, name, lines):
@@ -45,6 +58,7 @@ def test_trace_passes_give_the_cli_output(tmp_path, harness, name, lines):
     workloads.write_batch(workload, 1, lines, str(batch))
     assert run([*workload.flags, "--input", str(batch), "--output", str(out)]) == 0
     cli_text = out.read_text(encoding="utf-8")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CLI_DIGESTS[name]
     records = [json.loads(line) for line in cli_text.splitlines()]
     assert len(records) == lines
     assert all(r["config_echo"] == workload.config_echo for r in records)
@@ -61,3 +75,9 @@ def test_trace_passes_give_the_cli_output(tmp_path, harness, name, lines):
     prep_s, shape = tracing.prep_pass(str(batch), config)
     assert prep_s >= 0.0
     assert 0 < shape["metrics.distinct_candidates"] <= shape["metrics.candidates"]
+    # The benchmark's distinct counters count the keys the gain table is built on.
+    checked = [types.validate_instance(parse_instance_line(raw, no), config.gain,
+                                       config.weighting, config.dedup_hypotheses)
+               for no, raw in enumerate(batch.read_text(encoding="utf-8").splitlines(), 1)]
+    cells = sum(metrics.gain_table(inst, config.gain).table.size for inst in checked)
+    assert cells == shape["metrics.distinct_gain_cells"]

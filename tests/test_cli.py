@@ -67,8 +67,9 @@ class TestSerialization:
 
 def reference_dumps(value) -> str:
     """The recursive emitter that ``dumps`` replaced, kept as its byte
-    reference: an isinstance chain, with strings and keys escaped by
-    ``json.dumps``."""
+    reference: an isinstance chain, with strings and keys written by
+    ``json.dumps`` (a key with no JSON form, a non-finite float among them,
+    raises)."""
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -82,7 +83,9 @@ def reference_dumps(value) -> str:
             return value
         return json.dumps(value, ensure_ascii=False)
     if isinstance(value, dict):
-        items = ",".join(f"{json.dumps(str(k), ensure_ascii=False)}:{reference_dumps(v)}"
+        # The key of a one-key object: '{"key":0}' less its '{' and ':0}'.
+        items = ",".join(json.dumps({k: 0}, separators=(",", ":"), ensure_ascii=False,
+                                    allow_nan=False)[1:-3] + ":" + reference_dumps(v)
                          for k, v in value.items())
         return "{" + items + "}"
     if isinstance(value, (list, tuple)):
@@ -92,7 +95,7 @@ def reference_dumps(value) -> str:
 
 class Label(str):
     """A str subclass, as a caller's own string type would be. JSON
-    escapes its characters as a value, and ``str()`` of it as a key."""
+    escapes its characters, not its ``str()``, as a value and as a key."""
 
     def __str__(self):
         return f"Label({super().__str__()})"
@@ -172,6 +175,20 @@ class TestDumpsBytes:
                 want = outcome(reference_dumps, record)
                 assert want in (ValueError, TypeError)
                 assert outcome(dumps, record) is want
+
+    @pytest.mark.parametrize("key", ["k", 'q"\\\n\u00e9', "", Label("label"), 0, -7, 2**70,
+                                     0.1, -0.0, 1e300, 5e-324, 2 / 3, np.float64(2 / 3),
+                                     True, False, None])
+    def test_dict_keys_are_written_as_json_writes_them(self, key):
+        record = {key: 1, "v": {key: [0.5]}}
+        assert dumps(record) == json.dumps(record, separators=(",", ":"), ensure_ascii=False)
+
+    @pytest.mark.parametrize("key, error", [((1, 2), TypeError), (frozenset(), TypeError),
+                                            (math.nan, ValueError), (math.inf, ValueError),
+                                            (-math.inf, ValueError)])
+    def test_keys_json_cannot_encode_raise(self, key, error):
+        with pytest.raises(error):
+            dumps({"a": 1, key: 2})
 
     def test_int_subclass_gives_its_digits(self):
         class Code(int):
@@ -650,7 +667,7 @@ class TestDecodeCommand:
         # built beside its table, serves the gains, the length weights and
         # the longest tie rule, so a whole decode tokenizes each distinct
         # (text, tokens) candidate of a side once.
-        from mbrkit import decoder, metrics
+        from mbrkit import metrics
 
         lines = [
             # Shared sides: "a b" twice and its token twin tie for the top;

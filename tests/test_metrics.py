@@ -26,6 +26,8 @@ from mbrkit import (
     ZeroLengthCandidateError,
     candidate_tokens,
     compute_weights,
+    decode,
+    expected_gains,
     gain_matrix,
     ngram_counts,
     pair_gain,
@@ -856,12 +858,40 @@ class TestMultisetCompression:
         assert calls["candidate_tokens"] == 3
 
 
+    # Raw twins: three raw (text, tokens) pairs, in other casing and
+    # spacing or as tokens, with one token sequence.
+    TWINS = (Candidate(text="The cat sat"), Candidate(text="the  cat sat"),
+             Candidate(text="x", tokens=["the", "cat", "sat"]))
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "own-hypotheses"])
+    @pytest.mark.parametrize("spec", [ROUGE1, ROUGE2, BLEU4, EXACT],
+                             ids=["rouge1", "rouge2", "bleu4", "exact"])
+    def test_raw_twins_share_one_key(self, spec, shared):
+        evidence = (self.TWINS + (Candidate(text="a dog ran"),) + self.TWINS[::-1]
+                    + (Candidate(text="the dog sat"),))
+        hypotheses = None if shared else ((Candidate(text="A dog ran"),) + self.TWINS
+                                          + (Candidate(text="a  dog ran"),))
+        inst = validate_instance(Instance(id="t", evidence=evidence, hypotheses=hypotheses),
+                                 spec, WeightSpec())
+        table = metrics.gain_table(inst, spec)
+
+        def distinct(cands):
+            return len({candidate_tokens(c, spec) for c in cands})
+
+        assert table.table.shape == (distinct(inst.evidence), distinct(inst.hypotheses))
+        assert table.table.shape == ((3, 3) if shared else (3, 2))
+        want = np.array([[pair_gain(e, h, spec) for h in inst.hypotheses] for e in inst.evidence])
+        assert table.matrix().tobytes() == want.tobytes()
+        result = decode(inst, spec)
+        gains = expected_gains(gain_matrix(inst, spec), np.array(result.weights))
+        assert np.array(result.gain_estimates).tobytes() == gains.tobytes()
+
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "own-hypotheses"])
     @pytest.mark.parametrize("spec", [ROUGE1, BLEU4, EXACT, GainSpec(kind="answer_match")],
                              ids=lambda s: s.kind)
     def test_gain_table_is_over_distinct_keys(self, spec, shared):
         # Three distinct raw candidates; the last has the tokens and answer
-        # of the first, so the key-match gains see two distinct keys.
+        # of the first, so every gain sees two distinct keys.
         evidence = (Candidate(text="a b", answer="1"), Candidate(text="c", answer="2"),
                     Candidate(text="a b", answer="1"), Candidate(text="x", tokens=("a", "b"),
                                                                  answer=" 1 "))
@@ -871,8 +901,7 @@ class TestMultisetCompression:
         inst = validate_instance(Instance(id="t", evidence=evidence, hypotheses=hypotheses),
                                  spec, WeightSpec())
         table = metrics.gain_table(inst, spec)
-        keyed = spec.kind in ("exact_match", "answer_match")
-        assert table.ev_inv.tolist() == ([0, 1, 0, 0] if keyed else [0, 1, 0, 2])
+        assert table.ev_inv.tolist() == [0, 1, 0, 0]
         if not shared:
             assert table.hyp_inv.tolist() == [0, 1, 0]
         assert table.table.shape == (table.ev_inv.max() + 1, table.hyp_inv.max() + 1)

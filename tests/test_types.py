@@ -5,6 +5,7 @@ import inspect
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from mbrkit import (
@@ -173,6 +174,31 @@ class TestWeightSpec:
         WeightSpec(kind="temperature", tau=1e-300)
         WeightSpec(kind="length_norm", beta=-1000.0)
         WeightSpec(kind="mixture", mixture_weights={"m0": 1e308, "m1": 0.0})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tau": "0.5"},
+        {"kind": "temperature", "tau": None},
+        {"kind": "temperature", "tau": True},
+        {"beta": True},
+        {"kind": "length_norm", "beta": "1"},
+        {"kind": "length_reward", "gamma": False},
+        {"gamma": [0.5]},
+        {"kind": "mixture", "mixture_weights": [("a", 1.0)]},
+        {"kind": "mixture", "mixture_weights": {"a": "1"}},
+        {"kind": "mixture", "mixture_weights": {"a": True, "b": 1.0}},
+        {"kind": "mixture", "mixture_weights": {"a": None}},
+        {"kind": "mixture", "mixture_weights": {1: 1.0}},
+    ], ids=str)
+    def test_rejects_parameters_of_the_wrong_type(self, kwargs):
+        # Each would raise a bare TypeError or AttributeError, or (a bool)
+        # construct and be echoed as ``true``.
+        with pytest.raises(ConfigError, match=r"must be a real number|must map str model ids"):
+            WeightSpec(**kwargs)
+
+    def test_accepts_real_numbers_that_are_not_floats(self):
+        spec = WeightSpec(kind="temperature", tau=np.float64(0.5), beta=1, gamma=np.int64(2))
+        assert (spec.tau, spec.beta, spec.gamma) == (0.5, 1, 2)
+        WeightSpec(kind="mixture", mixture_weights={"m0": 1, "m1": np.float64(0.5)})
 
 
 class TestValidateInstance:
