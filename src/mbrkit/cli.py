@@ -75,12 +75,14 @@ class RunConfig:
 
 
 def parse_mixture(text: str) -> dict[str, float]:
-    """Parse "id=w,id=w" into a model weight mapping."""
+    """Parse "id=w,id=w" into a model weight mapping; each id once."""
     weights: dict[str, float] = {}
     for part in text.split(","):
         model, sep, value = part.partition("=")
         if not sep or not model:
             raise ConfigError(f"mixture term {part!r} is not of the form id=weight")
+        if model in weights:
+            raise ConfigError(f"mixture id {model!r} is given more than once")
         try:
             weights[model] = float(value)
         except ValueError:

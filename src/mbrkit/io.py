@@ -14,7 +14,14 @@ each distinct value once with ``"%.17g"``, the same text as
 holds a zero, whose two signs compare equal, is one ``%`` format of the
 whole array. Parsing builds a field's location only
 for its error, and reports any JSON the decoder rejects, an over-long
-integer included, as a ParseError.
+integer included, as a ParseError. It checks and builds each side's
+candidates once per distinct candidate: a sample whose ``tokens``,
+``score``, ``answer`` and ``model_id`` equal those of the first valid
+sample with its ``text`` is that sample's Candidate. A score is equal
+when it is a number of the same value and sign, so ``1`` and ``1.0``
+are one score, while ``true`` and ``1``, or ``-0.0`` and ``0.0``, are
+not. Unknown fields are never compared, every other sample is checked
+at its own index, and nothing is kept from one line to the next.
 """
 
 from __future__ import annotations
@@ -104,9 +111,13 @@ def dumps(value) -> str:
     return encode(value)
 
 
+#: The types json.loads gives a number; a bool is not one of them.
+_JSON_NUMBER = (int, float)
+
+
 def _parse_number(value, line: int, where: str, *index) -> float:
     """``value`` as a float; its location is ``where.format(*index)``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, _JSON_NUMBER):
         raise SchemaError(line, where.format(*index), "must be a number")
     try:
         return float(value)
@@ -116,10 +127,14 @@ def _parse_number(value, line: int, where: str, *index) -> float:
 
 def _parse_candidates(value, line: int, side: str) -> tuple[Candidate, ...]:
     """The candidates of ``side``; a field's location, such as
-    ``evidence[3].score``, is built only when it is reported."""
+    ``evidence[3].score``, is built only when it is reported. A twin of
+    the first valid sample with its text, as the module docstring defines
+    it, is that sample's Candidate, not checked or built again.
+    """
     if not isinstance(value, list):
         raise SchemaError(line, side, "must be an array of candidate objects")
     parsed = []
+    first: dict[str, tuple[Candidate, object]] = {}  # text -> (Candidate, raw tokens)
     for i, obj in enumerate(value):
         if not isinstance(obj, dict):
             raise SchemaError(line, f"{side}[{i}]", "candidate must be an object")
@@ -127,19 +142,33 @@ def _parse_candidates(value, line: int, side: str) -> tuple[Candidate, ...]:
         if not isinstance(text, str):
             raise SchemaError(line, f"{side}[{i}].text", "required and must be a string")
         tokens = obj.get("tokens")
+        score = obj.get("score")
+        answer = obj.get("answer")
+        model_id = obj.get("model_id")
+        twin = first.get(text)
+        if twin is not None:
+            c = twin[0]
+            f = c.score
+            # True == 1 and -0.0 == 0.0, so a score's type and a zero's sign count too.
+            if (tokens == twin[1] and answer == c.answer and model_id == c.model_id
+                    and (score is None if f is None else
+                         type(score) in _JSON_NUMBER and score == f
+                         and (score or math.copysign(1.0, score) == math.copysign(1.0, f)))):
+                parsed.append(c)
+                continue
         if tokens is not None:
             if not isinstance(tokens, list) or any(not isinstance(t, str) for t in tokens):
                 raise SchemaError(line, f"{side}[{i}].tokens", "must be an array of strings")
-        score = obj.get("score")
         if score is not None:
             score = _parse_number(score, line, "{}[{}].score", side, i)
-        answer = obj.get("answer")
         if answer is not None and not isinstance(answer, str):
             raise SchemaError(line, f"{side}[{i}].answer", "must be a string")
-        model_id = obj.get("model_id")
         if model_id is not None and not isinstance(model_id, str):
             raise SchemaError(line, f"{side}[{i}].model_id", "must be a string")
-        parsed.append(Candidate(text, tokens, score, answer, model_id))
+        c = Candidate(text, tokens, score, answer, model_id)
+        if twin is None:
+            first[text] = (c, tokens)
+        parsed.append(c)
     return tuple(parsed)
 
 

@@ -108,6 +108,8 @@ class GainSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.lowercase, bool):
+            raise ConfigError(f"lowercase must be a bool, got {self.lowercase!r}")
         if self.n < 1:
             raise ConfigError(f"n-gram order must be >= 1, got {self.n}")
         if self.max_order < 1:

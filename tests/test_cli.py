@@ -376,6 +376,164 @@ class TestParsing:
                              '{"id":"2","evidence":[{"text":"b"}]}\n')
         assert [i.id for i in read_instances(stream)] == ["1", "2"]
 
+    @staticmethod
+    def line(evidence, hypotheses=None) -> str:
+        record = {"id": "1", "evidence": evidence}
+        if hypotheses is not None:
+            record["hypotheses"] = hypotheses
+        return json.dumps(record)
+
+    @staticmethod
+    def fields(c: Candidate):
+        """A candidate's fields, with the score's sign, which ``==`` ignores at zero."""
+        sign = None if c.score is None else math.copysign(1.0, c.score)
+        return vars(c), type(c.score), sign
+
+    def test_one_candidate_per_distinct_sample_per_side(self, monkeypatch):
+        from mbrkit import io as mbr_io
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(Candidate(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(mbr_io, "Candidate", counting)
+        rng = random.Random(20)
+        texts = [" ".join(rng.choices("abcdefgh", k=rng.randint(3, 9))) + f" s{k}"
+                 for k in range(24)]
+        scores = [-rng.uniform(0.5, 5.0) for _ in texts]
+        picks = list(range(24)) + rng.choices(range(24), k=512 - 24)
+        rng.shuffle(picks)
+        # Unknown fields vary freely between twins.
+        evidence = [{"text": texts[k], "score": scores[k], "seen": n} for n, k in enumerate(picks)]
+        hyp_picks = [k % 8 for k in range(40)]
+        hypotheses = [{"text": texts[k], "tokens": texts[k].split()} for k in hyp_picks]
+        inst = parse_instance_line(self.line(evidence, hypotheses), 1)
+        assert len(built) == 24 + 8
+        assert len({id(c) for c in inst.evidence}) == 24
+        assert len({id(c) for c in inst.hypotheses}) == 8
+        for side, picked in ((inst.evidence, picks), (inst.hypotheses, hyp_picks)):
+            first = {}
+            for c, k in zip(side, picked):
+                assert c is first.setdefault(k, c)
+        for c, k in zip(inst.evidence, picks):
+            assert vars(c) == {"text": texts[k], "tokens": None, "score": scores[k],
+                               "answer": None, "model_id": None}
+        for c, k in zip(inst.hypotheses, hyp_picks):
+            assert c.tokens == tuple(texts[k].split()) and c.score is None
+
+    def test_bool_twin_of_a_number_is_still_rejected(self):
+        with pytest.raises(SchemaError) as err:
+            parse_instance_line(self.line([{"text": "a", "score": 1}, {"text": "a", "score": True}]), 3)
+        assert str(err.value) == "line 3, field 'evidence[1].score': must be a number"
+
+    def test_zero_twins_keep_their_signs(self):
+        scores = [0.0, -0.0, -0.0, 0, 0.0, -0.0]
+        for order in (scores, scores[::-1]):
+            inst = parse_instance_line(self.line([{"text": "a", "score": s} for s in order]), 1)
+            assert [math.copysign(1.0, c.score) for c in inst.evidence] == \
+                [math.copysign(1.0, s) for s in order]
+            assert all(type(c.score) is float for c in inst.evidence)
+
+    def test_int_and_float_twins_share(self):
+        inst = parse_instance_line(self.line([{"text": "a", "score": 1}, {"text": "a", "score": 1.0}]), 1)
+        assert inst.evidence[0] is inst.evidence[1] and type(inst.evidence[1].score) is float
+
+    @pytest.mark.parametrize("field, first, second", [
+        ("tokens", ["a"], ["A"]),
+        ("tokens", None, ["a"]),
+        ("answer", "1", "2"),
+        ("answer", None, "1"),
+        ("model_id", "m0", "m1"),
+        ("model_id", "m0", None),
+        ("score", -1.0, -2.0),
+        ("score", None, -1.0),
+    ])
+    def test_twins_differing_in_a_known_field_stay_distinct(self, field, first, second):
+        evidence = [{"text": "a"}, {"text": "a"}, {"text": "a"}]
+        for obj, value in zip(evidence, (first, second, first)):
+            if value is not None:
+                obj[field] = value
+        a, b, c = parse_instance_line(self.line(evidence), 1).evidence
+        assert a is c and a is not b
+        assert [getattr(a, field), getattr(b, field)] == \
+            [tuple(v) if isinstance(v, list) else v for v in (first, second)]
+
+    def test_twins_differing_in_an_unknown_field_share(self):
+        inst = parse_instance_line(self.line(
+            [{"text": "a", "score": -1, "extra": 1}, {"text": "a", "score": -1, "extra": [2]},
+             {"text": "a", "score": -1.0}]), 1)
+        assert inst.evidence[0] is inst.evidence[1] is inst.evidence[2]
+
+    def test_deeply_nested_field_on_a_twin(self):
+        deep = "[" * 900 + "]" * 900
+        inst = parse_instance_line(
+            '{"id":"1","evidence":[{"text":"a","x":1},{"text":"a","x":%s}]}' % deep, 1)
+        assert inst.evidence == (Candidate("a"), Candidate("a"))
+        assert inst.evidence[0] is inst.evidence[1]
+        # Nested in a known field, it is checked and rejected at its own index.
+        with pytest.raises(SchemaError) as err:
+            parse_instance_line(
+                '{"id":"1","evidence":[{"text":"a","tokens":["a"]},'
+                '{"text":"a","tokens":[%s]}]}' % deep, 1)
+        assert err.value.field == "evidence[1].tokens"
+
+    # Per field: values a candidate may hold (... is a missing field), and
+    # values it must not.
+    POOL = {
+        "text": (["a", "a", "b"], [7, None]),
+        "tokens": ([..., ..., None, ["a"], ["a", "b"], []], [["a", 1], "a", [["a"]]]),
+        "score": ([..., None, 1, 1.0, 0, 0.0, -0.0, -1.5, 2**53 + 1, float(2**53)],
+                  [True, False, "x", 10**400, [1]]),
+        "answer": ([..., ..., None, "x", "y"], [3, ["x"], True]),
+        "model_id": ([..., ..., None, "m0", "m1"], [0, True, {"m": 0}]),
+        "extra": ([..., 1, {"k": [1]}, "z"], []),
+    }
+
+    def outcome(self, line: str):
+        try:
+            inst = parse_instance_line(line, 1)
+        except SchemaError as err:
+            return str(err)
+        return [[self.fields(c) for c in side] for side in (inst.evidence, inst.hypotheses or ())]
+
+    def draw(self, rng, name):
+        good, bad = self.POOL[name]
+        return rng.choice(bad if bad and rng.random() < 0.04 else good)
+
+    def test_random_lines_parse_as_each_candidate_alone(self):
+        rng = random.Random(2020)
+        failures = 0
+        for _ in range(1500):
+            # Each sample is one of a few base samples, often with one field
+            # drawn again, so that twins and near twins are common.
+            bases = [{name: self.draw(rng, name) for name in self.POOL} for _ in range(3)]
+            sides = []
+            for _ in range(rng.choice((1, 2))):
+                side = []
+                for _ in range(rng.randint(1, 8)):
+                    obj = dict(rng.choice(bases))
+                    if rng.random() < 0.5:
+                        name = rng.choice(list(self.POOL))
+                        obj[name] = self.draw(rng, name)
+                    obj = {k: v for k, v in obj.items() if v is not ...}
+                    side.append(rng.choice((["a"], "a", 1)) if rng.random() < 0.01 else obj)
+                sides.append(side)
+            want = [[], []]
+            for s, (name, side) in enumerate(zip(("evidence", "hypotheses"), sides)):
+                for i, obj in enumerate(side):
+                    got = self.outcome(self.line([obj]))
+                    if isinstance(got, str):
+                        want = got.replace("evidence[0]", f"{name}[{i}]")
+                        break
+                    want[s] += got[0]
+                if isinstance(want, str):
+                    break
+            got = self.outcome(self.line(*sides))
+            assert got == want, (sides, got, want)
+            failures += isinstance(want, str)
+        assert 300 < failures < 1200, failures  # both outcomes are drawn often
+
 
 class TestRoundTrip:
     def test_all_fields_preserved(self):
@@ -431,6 +589,18 @@ class TestMixtureFlag:
             parse_mixture("m0:0.7")
         with pytest.raises(ConfigError):
             parse_mixture("m0=abc")
+
+    def test_repeated_id_is_a_config_error(self, tmp_path, capsys):
+        from mbrkit import ConfigError
+        with pytest.raises(ConfigError, match="'m0' is given more than once"):
+            parse_mixture("m0=0.7,m0=0.3,m1=1")
+        inp = tmp_path / "in.jsonl"
+        inp.write_text('{"id":"1","evidence":[{"text":"a","model_id":"m0"}]}\n', encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert run(["decode", "--weighting", "mixture", "--mixture", "m0=0.7,m0=0.3,m1=1",
+                    "--input", str(inp), "--output", str(out)]) == 2
+        assert "'m0'" in capsys.readouterr().err
+        assert not out.exists() or out.read_text(encoding="utf-8") == ""
 
 
 class TestDecodeCommand:

@@ -132,6 +132,17 @@ class TestGainSpec:
             GainSpec(kind="sentence_bleu", max_order=bad)
 
 
+    @pytest.mark.parametrize("bad", ["no", "", 0, 1, 1.0, None])
+    def test_rejects_lowercase_that_is_not_a_bool(self, bad):
+        # A truthy string would lowercase and echo as "lowercase":"no".
+        with pytest.raises(ConfigError, match=r"^lowercase must be a bool"):
+            GainSpec(lowercase=bad)
+
+    def test_accepts_lowercase_bools(self):
+        assert GainSpec(lowercase=False).lowercase is False
+        assert GainSpec(lowercase=True).lowercase is True
+
+
 class TestWeightSpec:
     def test_defaults_to_uniform(self):
         assert WeightSpec().kind == "uniform"
