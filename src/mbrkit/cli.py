@@ -98,7 +98,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         lowercase=not args.no_lowercase,
         tokenizer=args.tokenizer.replace("-", "_"),
     )
-    mixture = parse_mixture(args.mixture) if getattr(args, "mixture", None) else None
+    mixture = parse_mixture(args.mixture) if getattr(args, "mixture", None) is not None else None
     weighting = WeightSpec(
         kind=WEIGHTING_NAMES[args.weighting],
         tau=args.tau,
@@ -320,10 +320,12 @@ def _run_batch(config: RunConfig, record_fn, echo: dict) -> int:
     failed = 0
     with ExitStack() as stack:
         # Bytes that are not UTF-8 decode to lone surrogates, which
-        # parse_instance_line reports as a line error.
+        # parse_instance_line reports as a line error. Only "\n" ends a
+        # line: a bare "\r" is JSON whitespace, and so is a CRLF's "\r".
         source = stack.enter_context(_open_path(
             "--input", sys.stdin.fileno() if config.input is None else config.input, "r",
-            encoding="utf-8", errors="surrogateescape", closefd=config.input is not None,
+            encoding="utf-8", errors="surrogateescape", newline="\n",
+            closefd=config.input is not None,
         ))
         # A terminal still sees each result as soon as it is written.
         flush_lines = config.output is None and sys.stdout.line_buffering

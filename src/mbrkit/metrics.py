@@ -31,14 +31,19 @@ the cells of a dense column is heavy. The heavy grams are summed by one
 float64 product of level columns: min(a, b) is the sum of the steps
 between a gram's distinct counts that both a and b reach. The rare,
 light grams are joined posting by posting. Every term is an integer, so
-both sums are exact. The postings of every order come from numpy alone:
-tokens get integer ids, and each n-gram's id is that of its (n-1)-gram
-paired with the next token. Sentence BLEU follows the sacrebleu
+both sums are exact. The postings come from numpy alone, one set per
+side for every order a gain needs: tokens get integer ids, each n-gram's
+id is that of its (n-1)-gram paired with the next token, and each
+order's ids run past the previous order's, so one join per table fills
+the clipped matches of every order. Sentence BLEU follows the sacrebleu
 conventions: clipped precisions, effective order, exponential smoothing
 (the k-th zero-match order contributes 1 / (2^k * total_n)), and the
 standard brevity penalty; an empty hypothesis scores 0. Each block of
 evidence rows gets the clipped matches of every order it needs and is
-finished at once as arrays, BLEU with libm's ``log`` and ``exp``.
+finished at once as arrays. A BLEU precision is fixed by integers, so
+libm's ``log`` runs once per distinct integer key of each order and the
+brevity ``exp`` once per pair of distinct lengths; only the final
+``exp`` runs once per distinct float.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -167,27 +171,30 @@ def _order_counters(tokens: tuple[str, ...], max_order: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-# Entries that one block of evidence rows expands at once, for each order:
-# its light posting pairs, its dense level factor and its output cells (or
-# one row), and a span of the hypothesis level factor. On a 1000x1000 matrix
-# of 30-token rows over 20 words, one call peaks at 21.7 MB for BLEU-4 and
-# 14.5 MB for ROUGE-1 with jobs=1, and 44.8 and 23.5 MB with jobs=8, eight
-# blocks in flight; the 8 MB output is part of each.
+# Entries that one block of evidence rows expands at once, summed over every
+# order: its light posting pairs, its dense level factor and its output cells
+# (or one row), and a span of the hypothesis level factor. On a 1000x1000
+# matrix of 30-token rows over 20 words, one call peaks at 19.7 MB for BLEU-4
+# and 13.0 MB for ROUGE-1 with jobs=1, and 27.9 and 23.5 MB with jobs=8,
+# eight blocks in flight; the 8 MB output is part of each.
 _PAIR_CHUNK = 1 << 16
 
 _Postings = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _ngram_postings(ev_seqs: list, hyp_seqs: list,
-                    max_order: int) -> Iterator[tuple[_Postings, _Postings]]:
-    """Evidence and hypothesis ``(gram, row, count)`` postings of each
-    order 1..``max_order`` in turn, each side in row order.
+                    orders: range) -> tuple[_Postings, _Postings, np.ndarray]:
+    """Evidence and hypothesis ``(gram, row, count)`` postings of every
+    order in ``orders``, each side row-major, and the bounds of each
+    order's gram ids: the k-th order's run over ``bounds[k]:bounds[k + 1]``.
 
     Tokens get ids in one dict pass over both sides; the id of the n-gram
     at a position is that of its (n-1)-gram paired with the next token,
     made dense by ``np.unique``, so equal grams share an id on both sides.
-    When ``hyp_seqs`` is ``ev_seqs`` the postings are built over that one
-    list and serve as both sides.
+    Each order in ``orders`` offsets its ids past the previous one's, and
+    one ``np.unique`` of the keys ``row * span + id`` of every order counts
+    them all at once, in row-major order. When ``hyp_seqs`` is ``ev_seqs``
+    the postings are built over that one list and serve as both sides.
     """
     shared = hyp_seqs is ev_seqs
     seqs = ev_seqs if shared else ev_seqs + hyp_seqs
@@ -197,115 +204,166 @@ def _ngram_postings(ev_seqs: list, hyp_seqs: list,
                          np.int64, int(lens.sum()))
     row_of = np.repeat(np.arange(len(seqs)), lens)
     end_of = np.repeat(np.cumsum(lens), lens)  # end of the sequence holding each token
+    # Each order has at most one distinct gram per token, so every id is below span.
+    span = max(1, len(tokens) * len(orders))
     starts, grams, distinct = np.arange(len(tokens)), tokens, len(vocab)
-    for n in range(1, max_order + 1):
+    keys, bounds = [], [0]
+    for n in range(1, orders.stop):
         if n > 1:
             keep = starts + n <= end_of[starts]
             starts = starts[keep]
             pairs = grams[keep] * len(vocab) + tokens[starts + n - 1]
             distinct_pairs, grams = np.unique(pairs, return_inverse=True)
             distinct = len(distinct_pairs)
-        keys, counts = np.unique(row_of[starts] * distinct + grams, return_counts=True)
-        rows, gram_ids = np.divmod(keys, max(distinct, 1))
-        if shared:
-            yield (gram_ids, rows, counts), (gram_ids, rows, counts)
-            continue
-        split = np.searchsorted(rows, len(ev_seqs))
-        yield ((gram_ids[:split], rows[:split], counts[:split]),
-               (gram_ids[split:], rows[split:] - len(ev_seqs), counts[split:]))
+        if n in orders:
+            keys.append(row_of[starts] * span + (grams + bounds[-1]))
+            bounds.append(bounds[-1] + distinct)
+    keys, counts = np.unique(np.concatenate(keys), return_counts=True)
+    rows, gram_ids = np.divmod(keys, span)
+    bounds = np.array(bounds)
+    if shared:
+        return (gram_ids, rows, counts), (gram_ids, rows, counts), bounds
+    split = np.searchsorted(rows, len(ev_seqs))
+    return ((gram_ids[:split], rows[:split], counts[:split]),
+            (gram_ids[split:], rows[split:] - len(ev_seqs), counts[split:]), bounds)
 
 
-def _level_entries(ev: _Postings, hyp: _Postings, grams: int) -> tuple[tuple, np.ndarray]:
-    """Dense level columns of postings whose gram ids run over ``range(grams)``.
+def _level_entries(ev: _Postings, hyp: _Postings,
+                   bounds: np.ndarray) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Dense level columns of postings whose gram ids run over
+    ``range(bounds[-1])``, the orders' id ranges split at ``bounds``.
 
     min(a, b) = sum_l (v_l - v_(l-1)) [a >= v_l] [b >= v_l], with v_0 = 0
     and v_1 < v_2 < ... the distinct counts of the gram on either side up
     to the smaller side's largest count, which stands for any count above
-    it. Each (gram, level) pair is a column. Returns the ``(row, column)``
-    entries of each side, where the evidence side holds the level step and
-    the hypothesis side 1, and the step of every column.
+    it. Each (gram, level) pair is a column, in gram order, so each
+    order's columns are contiguous. Returns the ``(row, column)`` entries
+    of each side, where the evidence side holds the level step and the
+    hypothesis side 1, the step of every column, and the first column of
+    each order followed by the number of columns.
     """
+    grams = int(bounds[-1])
     top = np.zeros(grams, dtype=np.int64)
     np.maximum.at(top, ev[0], ev[2])
     hyp_top = np.zeros(grams, dtype=np.int64)
     np.maximum.at(hyp_top, hyp[0], hyp[2])
     np.minimum(top, hyp_top, out=top)
     gram, row, count = (np.concatenate(side) for side in zip(ev, hyp))
+    # Every order's postings meet here at once, so each array is updated in
+    # place and dropped once used: these are a table's largest working set,
+    # and their peak showed in a bleu4-distinct run's peak RSS.
     # Level v of gram g has slot base[g] + v - 1, so the slots number at most
     # the tokens of one side; the used slots are the columns, in slot order.
     base = np.concatenate(([0], np.cumsum(top)))
-    slot = base[gram] + np.minimum(count, top[gram]) - 1
-    used = np.flatnonzero(np.bincount(slot, minlength=int(base[-1])))
+    slot = np.minimum(count, top[gram])
+    del count
+    slot += base[gram]
+    slot -= 1
+    present = np.bincount(slot, minlength=int(base[-1])) > 0
+    used = np.flatnonzero(present)
+    column = np.concatenate(([0], np.cumsum(present)))  # the used slots below each slot
     below = np.concatenate(([-1], used[:-1]))  # the level under each, or one slot under its gram
     steps = used - np.maximum(below, base[np.searchsorted(base[1:], used, side="right")] - 1)
     # A posting sets the columns of its gram's levels up to its own count.
-    first = np.searchsorted(used, base[gram])
-    levels = np.searchsorted(used, slot) - first + 1
-    cols = np.repeat(first - np.cumsum(levels) + levels, levels) + np.arange(int(levels.sum()))
+    first = column[base[gram]]
+    del gram
+    levels = column[slot]
+    del slot
+    levels -= first
+    levels += 1
+    first += levels
+    first -= np.cumsum(levels)  # each posting's first column less its entries before it
+    cols = np.repeat(first, levels)
+    del first
+    cols += np.arange(len(cols))
     rows = np.repeat(row, levels)
     split = int(levels[:len(ev[0])].sum())
-    return ((rows[:split], cols[:split]), (rows[split:], cols[split:])), steps
+    return (((rows[:split], cols[:split]), (rows[split:], cols[split:])), steps,
+            column[base[bounds]])
 
 
-def _clipped_matches(ev: _Postings, hyp: _Postings, height: int, width: int):
-    """sum_g min(T_i[g], T'_j[g]) of ``height`` x ``width`` pairs of rows, as
-    each evidence row's cost and ``fill(first, stop)``, the matches of rows
-    ``first:stop`` against every hypothesis.
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """The stable ``argsort`` of non-negative int keys, as one ``np.sort`` of
+    ``key * len(keys) + index``: 3-7x faster than a stable ``argsort`` here,
+    and unlike the default one it loads no sort code into a process that
+    ``np.unique`` has not loaded already (0.25 MB of peak RSS on
+    rouge1-dup)."""
+    n = max(len(keys), 1)
+    return np.sort(keys * n + np.arange(len(keys))) % n
 
-    ``ev`` and ``hyp`` are ``(gram, row, count)`` postings in row order, as
-    :func:`_ngram_postings` builds them. A gram is heavy when the pairs of
+
+def _clipped_matches(ev: _Postings, hyp: _Postings, height: int, width: int,
+                     bounds: np.ndarray):
+    """sum_g min(T_i[g], T'_j[g]) of ``height`` x ``width`` pairs of rows at
+    every order, as each evidence row's cost and ``fill(first, stop)``, the
+    ``(orders, stop - first, width)`` matches of rows ``first:stop``
+    against every hypothesis.
+
+    ``ev``, ``hyp`` and ``bounds`` are as :func:`_ngram_postings` returns
+    them; one join covers every order. A gram is heavy when the pairs of
     postings it joins, fan_ev * fan_hyp, are at least the ``height +
-    width`` cells of a dense column. The heavy grams are added by a float64
-    product of level columns (:func:`_level_entries`), whose evidence
-    factor is dense over a block's rows and whose hypothesis factor goes in
-    spans of ``_PAIR_CHUNK`` entries. For each light gram, each evidence
-    posting finds its gram's run of hypothesis postings by ``searchsorted``,
-    and each pair adds the smaller count to its cell by ``bincount``. A row
-    costs its light pairs, the level columns and its cells. Every term is
-    an integer, so the float64 sums are exact in any order.
+    width`` cells of a dense column. The heavy grams are added by a
+    float64 product of level columns (:func:`_level_entries`), whose
+    evidence factor is dense over a block's rows and whose hypothesis
+    factor goes, order by order, in spans of ``_PAIR_CHUNK`` entries. The
+    light hypothesis postings are put in gram order, each evidence posting
+    finds its gram's run of them from the per-gram posting counts, and
+    each pair adds the smaller count to its order's cell by one
+    ``bincount``. A row costs
+    every order's light pairs, level columns and cells. Every term is an
+    integer, so the float64 sums are exact in any order.
     """
-    grams = 1 + int(max(ev[0].max(initial=-1), hyp[0].max(initial=-1)))
-    heavy = (np.bincount(ev[0], minlength=grams) * np.bincount(hyp[0], minlength=grams)
-             >= height + width)
+    orders = len(bounds) - 1
+    grams = int(bounds[-1])
+    hyp_fan = np.bincount(hyp[0], minlength=grams)
+    heavy = np.bincount(ev[0], minlength=grams) * hyp_fan >= height + width
     ev_heavy, hyp_heavy = heavy[ev[0]], heavy[hyp[0]]
-    ((level_row, level_col), level_hyp), steps = _level_entries(
-        tuple(a[ev_heavy] for a in ev), tuple(a[hyp_heavy] for a in hyp), grams)
+    ((level_row, level_col), level_hyp), steps, order_cols = _level_entries(
+        tuple(a[ev_heavy] for a in ev), tuple(a[hyp_heavy] for a in hyp), bounds)
     level_start = np.searchsorted(level_row, np.arange(height + 1))
 
     ev_gram, ev_row, ev_count = (a[~ev_heavy] for a in ev)
+    ev_order = np.searchsorted(bounds, ev_gram, side="right") - 1
     hyp_light = tuple(a[~hyp_heavy] for a in hyp)
-    by_gram = np.argsort(hyp_light[0], kind="stable")
-    hyp_gram, hyp_row, hyp_count = (a[by_gram] for a in hyp_light)
-    run_start = np.searchsorted(hyp_gram, ev_gram, side="left")
-    fan = np.searchsorted(hyp_gram, ev_gram, side="right") - run_start
+    by_gram = _stable_order(hyp_light[0])
+    hyp_row, hyp_count = hyp_light[1][by_gram], hyp_light[2][by_gram]
+    hyp_fan[heavy] = 0  # each light gram's run of hypothesis postings, in gram order
+    fan = hyp_fan[ev_gram]
+    run_start = np.cumsum(hyp_fan)[ev_gram] - fan
     pairs_before = np.concatenate(([0], np.cumsum(fan)))
     shift = run_start - pairs_before[:-1]  # pair p of posting e joins hyp posting p + shift[e]
     row_start = np.searchsorted(ev_row, np.arange(height + 1))
-    cost = np.diff(pairs_before[row_start]) + len(steps) + width
+    cost = np.diff(pairs_before[row_start]) + len(steps) + orders * width
 
+    # Spans of at most ``span`` level columns within one order's columns;
+    # together they cover every column in order.
     span = max(1, _PAIR_CHUNK // width)
-    spans = range(0, len(steps), span)
-    by_col = np.argsort(level_hyp[1], kind="stable")
+    order_cols = order_cols.tolist()
+    spans = [(n, col, min(span, end - col))
+             for n, (start, end) in enumerate(zip(order_cols, order_cols[1:]))
+             for col in range(start, end, span)]
+    by_col = _stable_order(level_hyp[1])
     level_cell = (level_hyp[1] * width + level_hyp[0])[by_col]
-    span_start = np.searchsorted(level_hyp[1][by_col], [*spans, len(steps)])
+    span_start = np.searchsorted(level_hyp[1][by_col], [col for _, col, _ in spans] + [len(steps)])
 
     def fill(first: int, stop: int) -> np.ndarray:
+        rows = stop - first
         lo, hi = row_start[first], row_start[stop]
         hyp_at = np.arange(pairs_before[lo], pairs_before[hi]) + np.repeat(shift[lo:hi], fan[lo:hi])
-        cells = np.repeat((ev_row[lo:hi] - first) * width, fan[lo:hi]) + hyp_row[hyp_at]
+        cells = (np.repeat((ev_order[lo:hi] * rows + ev_row[lo:hi] - first) * width, fan[lo:hi])
+                 + hyp_row[hyp_at])
         matches = np.minimum(np.repeat(ev_count[lo:hi], fan[lo:hi]), hyp_count[hyp_at])
-        block = np.bincount(cells, matches, (stop - first) * width).reshape(stop - first, width)
+        block = np.bincount(cells, matches, orders * rows * width).reshape(orders, rows, width)
         block = block.astype(np.float64, copy=False)  # int64 when there are no pairs
         lo, hi = level_start[first], level_start[stop]
         if lo == hi:
             return block
-        a = np.zeros((stop - first, len(steps)))
+        a = np.zeros((rows, len(steps)))
         a[level_row[lo:hi] - first, level_col[lo:hi]] = steps[level_col[lo:hi]]
-        for k, col in enumerate(spans):
-            cols = min(span, len(steps) - col)
+        for k, (n, col, cols) in enumerate(spans):
             b = np.zeros(cols * width)
             b[level_cell[span_start[k]:span_start[k + 1]] - col * width] = 1.0
-            block += np.matmul(a[:, col:col + cols], b.reshape(cols, width))
+            block[n] += np.matmul(a[:, col:col + cols], b.reshape(cols, width))
         return block
 
     return cost, fill
@@ -317,7 +375,28 @@ def _libm_per_distinct(fn, values: np.ndarray) -> np.ndarray:
     return np.array([fn(v) for v in distinct.tolist()])[inverse].reshape(values.shape)
 
 
-def _rouge_finish(ev_lens: np.ndarray, hyp_lens: np.ndarray, matches: list[np.ndarray],
+
+
+def _log_precision(signed: int, total: int) -> float:
+    """libm's ``log`` of one BLEU precision, from integers alone: ``signed``
+    matches out of ``total`` when positive, and else the smoothed
+    1 / (2^-signed * total). A ``total`` of 0 (an order the hypothesis is
+    too short for) is precision 1 and log 0.0; a smoothing that overflows
+    is precision 0.0 and log -inf. The floats are those of the array
+    formula: ``m / t`` and ``1.0 / (2.0**k * t)`` are correctly rounded
+    and 2^k * t is exact until it overflows."""
+    if total <= 0:
+        return 0.0
+    if signed > 0:
+        return math.log(signed / total)
+    try:
+        precision = 1.0 / math.ldexp(float(total), -signed)
+    except OverflowError:
+        return -math.inf
+    return math.log(precision) if precision else -math.inf
+
+
+def _rouge_finish(ev_lens: np.ndarray, hyp_lens: np.ndarray, matches: np.ndarray,
                   n: int) -> np.ndarray:
     """ROUGE-n kernel of every pair of rows from the lengths and the clipped
     matches of order n, the last of ``matches``: 1 - (denom - 2 * matches) /
@@ -331,44 +410,62 @@ def _rouge_finish(ev_lens: np.ndarray, hyp_lens: np.ndarray, matches: list[np.nd
     return np.subtract(1.0, gains, out=gains)
 
 
-def _bleu_finish(ref_lens: np.ndarray, hyp_lens: np.ndarray, correct: list[np.ndarray],
+def _bleu_finish(ref_lens: np.ndarray, hyp_lens: np.ndarray, correct: np.ndarray,
                  max_order: int) -> np.ndarray:
     """Sentence BLEU of every (reference, hypothesis) pair of rows from the
-    lengths and the clipped matches of orders 1..``len(correct)``.
+    lengths and the ``(orders, rows, width)`` clipped matches of orders
+    1..``len(correct)``, each at most both sides' totals at its order.
 
-    Array arithmetic in the scalar order of operations: each precision is
-    ``matches / total``, or ``1 / (smooth * total)`` with ``smooth``
-    doubled at each zero-match order; the logs add in order of n and
-    divide by the effective order min(hyp_len, max_order); the brevity
-    penalty multiplies when hyp_len < ref_len. ``log`` and ``exp`` are
-    libm's (``math``), whose results numpy's vectorized versions do not
-    always reproduce, each called once per distinct value. An order the
-    hypothesis is too short for has precision 1, log 0.0, and adds
-    nothing, so ``correct`` may stop at the longest hypothesis. Past about
-    a thousand zero-match orders the smoothing overflows, the precision is
-    0.0 and its log -inf, and the cell scores exp(-inf) == 0.0; an empty
-    hypothesis scores 0.
+    Each precision is fixed by integers: the total ``t = hyp_len - n + 1``
+    and either the matches ``m`` (``m / t``) or, at the k-th zero-match
+    order, the smoothing step ``k`` (``1 / (2^k * t)``). At order n a
+    cell's key is ``m`` or ``-k`` offset into its hypothesis length's
+    ``cap + n + 1`` keys, ``cap`` the smaller of ``t`` and the block's
+    longest reference total, so the keys are linear in the hypothesis
+    tokens and the block's cells. The keys that occur are found by
+    ``bincount``, libm's ``log`` runs once per key
+    (:func:`_log_precision`), and the logs are gathered back and add in
+    order of n; their sum divides by the effective order min(hyp_len,
+    max_order). The brevity penalty, libm's ``exp`` once per pair of
+    distinct reference and hypothesis lengths, multiplies every cell
+    (exp(0.0) == 1.0 when hyp_len >= ref_len). Only the final ``exp``
+    runs once per distinct float (:func:`_libm_per_distinct`). Every
+    value is the one the scalar formula computes with the same IEEE
+    operations and libm, whose results numpy's vectorized ``log`` and
+    ``exp`` do not always reproduce. An order the hypothesis is too short
+    for adds log 1 == 0.0, so ``correct`` may stop at the longest
+    hypothesis. Past about a thousand zero-match orders the smoothing
+    overflows, the precision is 0.0 and its log -inf, and the cell scores
+    exp(-inf) == 0.0; an empty hypothesis scores 0.
     """
+    lengths, column = np.unique(hyp_lens, return_inverse=True)
+    n = np.arange(1, len(correct) + 1)[:, None]
+    totals = np.maximum(lengths - n + 1, 0)  # (orders, distinct lengths)
+    # Matches are at most the longest reference's total too, so a block of
+    # short references has few keys even against a long hypothesis.
+    caps = np.minimum(totals, np.maximum(ref_lens.max() - n + 1, 0))
+    ends = np.cumsum(caps + n + 1, axis=1)
+    origin = ends - caps - 1  # the slot of 0
+    zero_orders = np.zeros(correct.shape[1:], dtype=np.int64)
+    log_sum = np.zeros(correct.shape[1:])  # 0.0 + x == x: no log here is -0.0
+    for i, matches in enumerate(correct):
+        matches = matches.astype(np.int64)
+        zero = matches == 0
+        zero_orders += zero
+        keys = origin[i, column] + np.where(zero, -zero_orders, matches)
+        used = np.flatnonzero(np.bincount(keys.ravel(), minlength=int(ends[i, -1])))
+        length = np.searchsorted(ends[i], used, side="right")
+        logs = np.zeros(int(ends[i, -1]))
+        logs[used] = [_log_precision(s, t) for s, t in zip((used - origin[i, length]).tolist(),
+                                                           totals[i, length].tolist())]
+        log_sum += logs[keys]
     hyp_f = hyp_lens.astype(np.float64)
-    orders = np.arange(1, len(correct) + 1)[:, None]
-    totals = hyp_f - orders + 1.0  # (orders, width)
-    supported = totals > 0.0
-    safe_totals = np.where(supported, totals, 1.0)
-    smooth = np.ones((len(ref_lens), len(hyp_lens)))
-    log_sum = np.zeros_like(smooth)  # 0.0 + x == x: no log here is -0.0
-    for n, matches in enumerate(correct):
-        zero = matches == 0.0
-        precision = matches / safe_totals[n]
-        with np.errstate(over="ignore"):
-            np.multiply(smooth, 2.0, out=smooth, where=zero)
-            np.divide(1.0, smooth * safe_totals[n], out=precision, where=zero)
-        precision[:, ~supported[n]] = 1.0
-        log_sum += _libm_per_distinct(lambda p: math.log(p) if p else -math.inf, precision)
     log_sum /= np.minimum(np.maximum(hyp_f, 1.0), max_order)  # the effective order
     score = _libm_per_distinct(math.exp, log_sum)
-    ref_f = ref_lens[:, None].astype(np.float64)
-    brevity = np.where(hyp_f < ref_f, 1.0 - ref_f / np.maximum(hyp_f, 1.0), 0.0)
-    score *= _libm_per_distinct(math.exp, brevity)  # exp(0.0) == 1.0 leaves a cell as is
+    ref_lengths, row = np.unique(ref_lens, return_inverse=True)
+    brevity = np.array([math.exp(1.0 - r / max(h, 1.0)) if h < r else 1.0
+                        for r in ref_lengths.tolist() for h in lengths.tolist()])
+    score *= brevity.reshape(len(ref_lengths), len(lengths))[row[:, None], column]
     score[:, hyp_lens == 0] = 0.0
     return score
 
@@ -377,14 +474,14 @@ def _ngram_gains(ev_keys: list, hyp_keys: list, spec: GainSpec, jobs: int) -> np
     """ROUGE or BLEU gains of every pair of distinct token sequences; when
     ``hyp_keys`` is ``ev_keys``, each sequence is counted once.
 
-    Each order's join (ROUGE's order n only) is prepared once. A block of
-    ``_PAIR_CHUNK // (largest row cost of any order)`` evidence rows, or
-    one row, fills the clipped matches of every order and is finished into
-    its output rows; with ``jobs`` > 1 the blocks run on one thread pool.
-    No sequence has a gram of an order past the longest sequence on either
-    side, so no such order is built: at that ROUGE order every pair has two
-    empty count vectors and gains 1.0, and such a BLEU order adds log 1 ==
-    0.0 to every cell.
+    One set of postings and one join cover every order (ROUGE's order n
+    only). A block of ``_PAIR_CHUNK // (largest row cost)`` evidence rows,
+    or one row, fills the clipped matches of every order and is finished
+    into its output rows; with ``jobs`` > 1 the blocks run on one thread
+    pool. No sequence has a gram of an order past the longest sequence on
+    either side, so no such order is built: at that ROUGE order every pair
+    has two empty count vectors and gains 1.0, and such a BLEU order adds
+    log 1 == 0.0 to every cell.
     """
     shared = hyp_keys is ev_keys
     height, width = len(ev_keys), len(hyp_keys)
@@ -395,18 +492,16 @@ def _ngram_gains(ev_keys: list, hyp_keys: list, spec: GainSpec, jobs: int) -> np
     top = spec.n if rouge else spec.max_order
     if rouge and top > longest:
         return np.ones((height, width))
-    order = top if rouge else max(1, min(top, longest))
+    orders = range(top, top + 1) if rouge else range(1, max(1, min(top, longest)) + 1)
     finish = _rouge_finish if rouge else _bleu_finish
-    postings = enumerate(_ngram_postings(ev_keys, hyp_keys, order), 1)
-    costs, fills = zip(*(_clipped_matches(ev, hyp, height, width)
-                         for n, (ev, hyp) in postings if n == order or not rouge))
-    step = max(1, _PAIR_CHUNK // max(int(cost.max(initial=1)) for cost in costs))
+    ev, hyp, bounds = _ngram_postings(ev_keys, hyp_keys, orders)
+    cost, fill = _clipped_matches(ev, hyp, height, width, bounds)
+    step = max(1, _PAIR_CHUNK // int(cost.max(initial=1)))
     out = np.empty((height, width), dtype=np.float64)
 
     def run(first: int) -> None:
         stop = min(first + step, height)
-        matches = [fill(first, stop) for fill in fills]
-        out[first:stop] = finish(ev_lens[first:stop], hyp_lens, matches, top)
+        out[first:stop] = finish(ev_lens[first:stop], hyp_lens, fill(first, stop), top)
 
     blocks = range(0, height, step)
     if jobs < 2 or len(blocks) < 2:
@@ -468,8 +563,9 @@ def gain_table(inst: Instance, spec: GainSpec, jobs: int = 1) -> GainTable:
     sides are shared and one ``np.equal.outer`` of the keys' evidence rows
     otherwise. The n-gram gains, ``rouge_n_kernel`` and ``sentence_bleu``,
     run once per pair of distinct sequences; the postings of both sides
-    come from one :func:`_ngram_postings` call, and ``jobs`` > 1 runs the
-    blocks of evidence rows, each joined and finished, on one thread pool.
+    come from one :func:`_ngram_postings` call, one join covers every
+    order, and ``jobs`` > 1 runs the blocks of evidence rows, each filled
+    and finished, on one thread pool.
     Every cell is a function of its pair's keys alone and the join's sums
     are exact integers, so the gathered table is the per-sample table bit
     for bit, whatever ``jobs``. When the hypotheses are the evidence

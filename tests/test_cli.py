@@ -602,6 +602,17 @@ class TestMixtureFlag:
         assert "'m0'" in capsys.readouterr().err
         assert not out.exists() or out.read_text(encoding="utf-8") == ""
 
+    def test_empty_spec_is_a_config_error(self, tmp_path, capsys):
+        # An empty --mixture is parsed like any other spec, not taken as absent.
+        inp = tmp_path / "in.jsonl"
+        inp.write_text('{"id":"1","evidence":[{"text":"a","model_id":"m0"}]}\n', encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert run(["decode", "--weighting", "mixture", "--mixture", "",
+                    "--input", str(inp), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: mixture term '' is not of the form id=weight\n")
+        assert not out.exists() or out.read_text(encoding="utf-8") == ""
+
 
 class TestDecodeCommand:
     def write_input(self, tmp_path, lines):
@@ -869,6 +880,40 @@ class TestDecodeCommand:
         records = [json.loads(line) for line in out.splitlines()]
         assert [r["tie_broken"] for r in records] == [True, True]
         assert len(calls) == sum(distinct_per_line.values())
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bare_carriage_return_does_not_split_a_line(self, tmp_path, capsys, jobs):
+        # A bare CR is JSON whitespace inside one line, not a line end.
+        data = (b'{"id":"a",\r"evidence":[{"text":"x y"}]}\n'
+                b'{"id":"b","evidence":[{"text":"z"}]}\n')
+        inp = tmp_path / "in.jsonl"
+        inp.write_bytes(data)
+        runs = [self.run_captured(capsys, ["decode", "--jobs", jobs, "--input", str(inp)]),
+                self.run_stdin(["decode", "--jobs", jobs], data)]
+        for code, out, err in runs:
+            assert (code, err) == (0, [])
+            assert [json.loads(line)["id"] for line in out.splitlines()] == ["a", "b"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_crlf_input_decodes_as_its_lf_copy(self, tmp_path, capsys, jobs):
+        lines = ['{"id":"a","evidence":[{"text":"x y"},{"text":"x"}]}', "",
+                 '{"id":"b","evidence":[{"text":"z"}]}', "not json"]
+        lf = "\n".join(lines).encode() + b"\n"
+        crlf = lf.replace(b"\n", b"\r\n")
+        outputs = []
+        for name, data in (("lf", lf), ("crlf", crlf)):
+            inp = tmp_path / f"{name}.jsonl"
+            inp.write_bytes(data)
+            out = tmp_path / f"{name}.out"
+            code, _, err = self.run_captured(
+                capsys, ["decode", "--jobs", jobs, "--input", str(inp), "--output", str(out)])
+            outputs.append((code, out.read_bytes(), err))
+            outputs.append(self.run_stdin(["decode", "--jobs", jobs], data))
+        assert outputs[0][0] == 1 and outputs[0][2] == ["line 4: invalid JSON: Expecting value"]
+        assert [json.loads(line)["id"] for line in outputs[0][1].splitlines()] == ["a", "b"]
+        want = (outputs[0][0], outputs[0][1].decode(), outputs[0][2])
+        for code, out, err in outputs:
+            assert (code, out if isinstance(out, str) else out.decode(), err) == want
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_leading_utf8_bom_fails_the_first_line(self, tmp_path, capsys, jobs):

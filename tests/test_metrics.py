@@ -1,6 +1,7 @@
 """Tests for tokenization, n-gram counts, and the built-in gain functions."""
 
 import ast
+import hashlib
 import math
 import os
 import re
@@ -635,6 +636,151 @@ class TestGainMatrix:
             WeightSpec(),
         )
         assert np.array_equal(gain_matrix(inst, EXACT), np.ones((2, 2)))
+
+
+def float_bleu_finish(ref_lens, hyp_lens, correct, max_order):
+    """The per-order float BLEU finish that the integer-keyed one replaced,
+    kept as its byte reference: each order's precisions are a float array,
+    and libm's log and exp run once per distinct float of each array."""
+
+    def per_distinct(fn, values):
+        distinct, inverse = np.unique(values, return_inverse=True)
+        return np.array([fn(v) for v in distinct.tolist()])[inverse].reshape(values.shape)
+
+    hyp_f = hyp_lens.astype(np.float64)
+    orders = np.arange(1, len(correct) + 1)[:, None]
+    totals = hyp_f - orders + 1.0
+    supported = totals > 0.0
+    safe_totals = np.where(supported, totals, 1.0)
+    smooth = np.ones((len(ref_lens), len(hyp_lens)))
+    log_sum = np.zeros_like(smooth)
+    for n, matches in enumerate(correct):
+        zero = matches == 0.0
+        precision = matches / safe_totals[n]
+        with np.errstate(over="ignore"):
+            np.multiply(smooth, 2.0, out=smooth, where=zero)
+            np.divide(1.0, smooth * safe_totals[n], out=precision, where=zero)
+        precision[:, ~supported[n]] = 1.0
+        log_sum += per_distinct(lambda p: math.log(p) if p else -math.inf, precision)
+    log_sum /= np.minimum(np.maximum(hyp_f, 1.0), max_order)
+    score = per_distinct(math.exp, log_sum)
+    ref_f = ref_lens[:, None].astype(np.float64)
+    brevity = np.where(hyp_f < ref_f, 1.0 - ref_f / np.maximum(hyp_f, 1.0), 0.0)
+    score *= per_distinct(math.exp, brevity)
+    score[:, hyp_lens == 0] = 0.0
+    return score
+
+
+def clip_totals(ref_lens, hyp_lens, orders):
+    """``(orders, rows, width)`` bounds of clipped matches: the smaller of
+    the two sides' n-gram totals at each order."""
+    n = np.arange(orders)[:, None]
+    return np.minimum(np.maximum(ref_lens - n, 0)[:, :, None],
+                      np.maximum(hyp_lens - n, 0)[:, None, :])
+
+
+def random_matches(rng, ref_lens, hyp_lens, orders, zero_rate):
+    """``(orders, rows, width)`` clipped matches, each at most both sides'
+    totals at its order, with about ``zero_rate`` of them zero."""
+    totals = clip_totals(ref_lens, hyp_lens, orders)
+    matches = rng.integers(0, totals + 1)
+    matches[rng.random(matches.shape) < zero_rate] = 0
+    return matches.astype(np.float64)
+
+
+class TestOneJoin:
+    def test_finish_bytes_equal_the_float_finish(self):
+        rng = np.random.default_rng(2301)
+        cases = []
+        for _ in range(300):
+            longest = int(rng.choice([0, 1, 3, 12, 40]))
+            rows, width = (int(k) for k in rng.integers(1, 10, size=2))
+            ref_lens = rng.integers(0, longest + 1, size=rows)
+            hyp_lens = rng.integers(0, longest + 1, size=width)
+            hyp_lens[0] = 0 if rng.random() < 0.3 else hyp_lens[0]  # an empty hypothesis
+            # Orders past the longest sequence when it is short, and max_order above them.
+            orders = int(rng.integers(1, 7))
+            zero_rate = float(rng.choice([0.0, 0.3, 0.7, 1.0]))
+            max_order = orders + int(rng.integers(0, 3))
+            cases.append((ref_lens, hyp_lens, random_matches(rng, ref_lens, hyp_lens, orders,
+                                                             zero_rate), max_order))
+        # Repetition-heavy: long rows of few lengths, every gram matched or
+        # all but a few.
+        lens = rng.choice([997, 1000, 4000], size=12)
+        full = clip_totals(lens[:5], lens, 4)
+        full[:, 1::2] -= rng.integers(0, 3, size=full[:, 1::2].shape)
+        cases.append((lens[:5], lens, full.astype(np.float64), 4))
+        # More than 1023 zero-match orders: some cells match at their first
+        # orders only, the rest never.
+        lens = np.array([1100, 1150, 1200, 0])
+        deep = np.zeros((1100, 3, 4))
+        deep[:5, 0] = 1.0
+        deep[:, 1, 1] = 1.0
+        cases.append((lens[:3], lens, deep, 1100))
+        for ref_lens, hyp_lens, matches, max_order in cases:
+            want = float_bleu_finish(ref_lens, hyp_lens, list(matches), max_order)
+            got = metrics._bleu_finish(ref_lens, hyp_lens, matches, max_order)
+            assert got.tobytes() == want.tobytes(), (ref_lens, hyp_lens, max_order)
+        # The deep case reaches the overflowing smoothing: exp(-inf) == 0.0.
+        assert want[2, 0] == 0.0 and want[0, 0] == 0.0 and want[1, 1] > 0.0
+
+    def test_one_join_per_table_and_one_libm_call_per_block(self, monkeypatch):
+        calls = Counter()
+        clipped, libm = metrics._clipped_matches, metrics._libm_per_distinct
+
+        def counted_clipped(*args):
+            calls["join"] += 1
+            cost, fill = clipped(*args)
+
+            def counted_fill(first, stop):
+                calls["block"] += 1
+                return fill(first, stop)
+
+            return cost, counted_fill
+
+        def counted_libm(fn, values):
+            calls["libm"] += 1
+            return libm(fn, values)
+
+        monkeypatch.setattr(metrics, "_clipped_matches", counted_clipped)
+        monkeypatch.setattr(metrics, "_libm_per_distinct", counted_libm)
+        sides = ((LINE_EVIDENCE, LINE_HYPOTHESES), (ALL_HEAVY, ALL_HEAVY),
+                 (GAPPED_EVIDENCE, GAPPED_HYPOTHESES))
+        for chunk in (19, metrics._PAIR_CHUNK):
+            monkeypatch.setattr(metrics, "_PAIR_CHUNK", chunk)
+            for evidence, hypotheses in sides:
+                inst = token_instance(evidence, hypotheses)
+                for spec in (BLEU4, ROUGE1, ROUGE2):
+                    calls.clear()
+                    metrics.gain_table(inst, spec)
+                    assert calls["join"] == 1, spec
+                    blocks = calls["block"]
+                    assert blocks > 1 if chunk == 19 else blocks == 1
+                    assert calls["libm"] == (blocks if spec is BLEU4 else 0), spec
+
+    def test_one_long_sample_keeps_linear_memory(self):
+        # BLEU's keys are offsets over the distinct hypothesis lengths, never
+        # a table over (longest + 1) ** 2 cells, which would need about 300
+        # GiB here. The per-order join before this one peaked at 58.5 MB for
+        # BLEU-4 and 28.6 MB for ROUGE-2 on this line, and gave these bytes.
+        rng = np.random.default_rng(2300)
+        words = [f"w{i}" for i in range(50)]
+        lengths = rng.integers(5, 40, size=64)
+        lengths[17] = 200_000  # one sample of 200 000 tokens over 50 words
+        inst = Instance(id="long", evidence=tuple(
+            Candidate(text="", tokens=tuple(words[i] for i in rng.integers(0, 50, size=n)))
+            for n in lengths))
+        for spec, digest, peak_before in (
+                (BLEU4, "bca9564711898039939f5ae6d1f636e65864e714608a384dd13eb6c1f82aa26a", 58.5e6),
+                (ROUGE2, "451f160e72743e579bc775aaf9e32096de42d8743b788d63b80420f8e9f8bb61", 28.6e6)):
+            tracemalloc.start()
+            try:
+                matrix = gain_matrix(inst, spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert hashlib.sha256(matrix.tobytes()).hexdigest() == digest, spec
+            assert peak <= 1.1 * peak_before, (spec, peak)
 
 
 # Candidates that intern apart although some share tokens: the same text
