@@ -26,7 +26,9 @@ from .types import (
     DecodeResult,
     GainSpec,
     Instance,
+    Side,
     WeightSpec,
+    interned,
     validate_instance,
 )
 from .weighting import WeightVector, compute_weights
@@ -111,7 +113,7 @@ def select(
     hypotheses: Sequence[Candidate],
     tie_break: str = "first",
     gain_spec: GainSpec | None = None,
-    tokens: tuple[list, np.ndarray] | None = None,
+    side: Side | None = None,
 ) -> tuple[int, bool]:
     """Index of the winning hypothesis and whether a tie rule was applied.
 
@@ -120,9 +122,9 @@ def select(
     scale of the gains; an all-zero vector is one tie. ``first`` keeps
     the lowest index, ``highest_score`` prefers the largest candidate
     score (missing scores rank lowest), and ``longest`` prefers the most
-    tokens, read from the hypotheses' interning ``tokens`` (sequences and
-    inverse, as :func:`mbrkit.metrics.distinct_tokens` returns them), which
-    is built here when not given; both fall back to the lowest index among
+    tokens, read from the hypotheses' Side by
+    :func:`mbrkit.metrics.distinct_tokens` (``side``, or one interned
+    here when not given); both fall back to the lowest index among
     remaining equals.
     An unknown rule is rejected whether or not there is a tie, and a
     non-finite gain, which no tie rule can order, is a NonFiniteValueError.
@@ -148,7 +150,7 @@ def select(
             score = hypotheses[i].score
             return -math.inf if score is None else score
     else:
-        seqs, inverse = tokens or distinct_tokens(hypotheses, gain_spec or GainSpec())
+        seqs, inverse = distinct_tokens(side or interned(hypotheses), gain_spec or GainSpec())
 
         def key(i: int) -> float:
             return float(len(seqs[inverse[i]]))
@@ -159,21 +161,14 @@ def _decode_validated(
     inst: Instance, gain_spec: GainSpec, weight_spec: WeightSpec, tie_break: str
 ) -> DecodeResult:
     """The pipeline after validation, on an instance already validated:
-    one gain table, whose interning also serves the weights and the
-    ``longest`` tie rule, reduced without the per-sample matrix. The
-    answer-match and external tables carry no token sequences, so when
-    the length weights need them the evidence is interned here once; the
-    hypotheses reuse that interning when they are the evidence, and else
-    :func:`select` interns them if its tie rule needs lengths."""
+    one gain table, reduced without the per-sample matrix. The length
+    weights and the ``longest`` tie rule read token counts from the
+    instance's Sides, which keep what the table or dedup tokenized, so
+    each distinct candidate of a side is tokenized at most once."""
     table = gain_table(inst, gain_spec)
-    ev_tokens, hyp_tokens = table.ev_tokens, table.hyp_tokens
-    if ev_tokens is None and weight_spec.kind in ("length_norm", "length_reward"):
-        ev_tokens = distinct_tokens(inst.evidence, gain_spec)
-    if hyp_tokens is None and inst.hypotheses is inst.evidence:
-        hyp_tokens = ev_tokens
-    wv = compute_weights(inst, weight_spec, gain_spec, ev_tokens)
+    wv = compute_weights(inst, weight_spec, gain_spec)
     gains = _table_gains(table, wv.weights)
-    index, tie_broken = select(gains, inst.hypotheses, tie_break, gain_spec, hyp_tokens)
+    index, tie_broken = select(gains, inst.hypotheses, tie_break, gain_spec, inst.sides()[1])
     return DecodeResult(
         selected_index=index,
         selected_text=inst.hypotheses[index].text,
@@ -255,7 +250,7 @@ def range_vote(
             for j, rating in enumerate(row):
                 totals[j] += rating
         means = np.array([t / n for t in totals])
-        index, tie_broken = select(means, inst.hypotheses, tie_break, gain_spec)
+        index, tie_broken = select(means, inst.hypotheses, tie_break, gain_spec, inst.sides()[1])
     except MbrError as exc:
         raise with_instance_id(exc, inst.id) from exc
     return DecodeResult(

@@ -21,7 +21,9 @@ sample with its ``text`` is that sample's Candidate. A score is equal
 when it is a number of the same value and sign, so ``1`` and ``1.0``
 are one score, while ``true`` and ``1``, or ``-0.0`` and ``0.0``, are
 not. Unknown fields are never compared, every other sample is checked
-at its own index, and nothing is kept from one line to the next.
+at its own index, and nothing is kept from one line to the next. The
+twins make each side's :class:`~mbrkit.types.Side`, which the instance
+carries to every later layer.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ import math
 from json.encoder import encode_basestring
 from typing import IO, Iterable, Iterator
 
+import numpy as np
+
 from .errors import ParseError, SchemaError
-from .types import Candidate, DecodeResult, Instance
+from .types import Candidate, DecodeResult, Instance, Side, sided_instance
 
 
 def format_float(x: float) -> str:
@@ -125,16 +129,16 @@ def _parse_number(value, line: int, where: str, *index) -> float:
         raise SchemaError(line, where.format(*index), "number out of range") from None
 
 
-def _parse_candidates(value, line: int, side: str) -> tuple[Candidate, ...]:
-    """The candidates of ``side``; a field's location, such as
-    ``evidence[3].score``, is built only when it is reported. A twin of
+def _parse_candidates(value, line: int, side: str) -> tuple[tuple[Candidate, ...], Side]:
+    """The candidates of ``side`` and their Side; a field's location, such
+    as ``evidence[3].score``, is built only when it is reported. A twin of
     the first valid sample with its text, as the module docstring defines
     it, is that sample's Candidate, not checked or built again.
     """
     if not isinstance(value, list):
         raise SchemaError(line, side, "must be an array of candidate objects")
-    parsed = []
-    first: dict[str, tuple[Candidate, object]] = {}  # text -> (Candidate, raw tokens)
+    distinct, inverse = [], []  # the Side's lists
+    first: dict[str, tuple[Candidate, object, int]] = {}  # text -> (Candidate, raw tokens, id)
     for i, obj in enumerate(value):
         if not isinstance(obj, dict):
             raise SchemaError(line, f"{side}[{i}]", "candidate must be an object")
@@ -154,7 +158,7 @@ def _parse_candidates(value, line: int, side: str) -> tuple[Candidate, ...]:
                     and (score is None if f is None else
                          type(score) in _JSON_NUMBER and score == f
                          and (score or math.copysign(1.0, score) == math.copysign(1.0, f)))):
-                parsed.append(c)
+                inverse.append(twin[2])
                 continue
         if tokens is not None:
             if not isinstance(tokens, list) or any(not isinstance(t, str) for t in tokens):
@@ -166,10 +170,13 @@ def _parse_candidates(value, line: int, side: str) -> tuple[Candidate, ...]:
         if model_id is not None and not isinstance(model_id, str):
             raise SchemaError(line, f"{side}[{i}].model_id", "must be a string")
         c = Candidate(text, tokens, score, answer, model_id)
+        inverse.append(len(distinct))
+        distinct.append(c)
         if twin is None:
-            first[text] = (c, tokens)
-        parsed.append(c)
-    return tuple(parsed)
+            first[text] = (c, tokens, inverse[-1])
+    if len(distinct) == len(inverse):  # no twins: the samples are the distinct candidates
+        return tuple(distinct), Side(distinct, range(len(distinct)), {})
+    return tuple(map(distinct.__getitem__, inverse)), Side(distinct, np.array(inverse), {})
 
 
 def parse_instance_line(raw: str, line: int) -> Instance:
@@ -197,10 +204,10 @@ def parse_instance_line(raw: str, line: int) -> Instance:
         raise SchemaError(line, "id", "required and must be a string")
     if "evidence" not in obj:
         raise SchemaError(line, "evidence", "required and must be an array")
-    evidence = _parse_candidates(obj["evidence"], line, "evidence")
-    hypotheses = obj.get("hypotheses")
+    evidence, ev_side = _parse_candidates(obj["evidence"], line, "evidence")
+    hypotheses, hyp_side = obj.get("hypotheses"), ev_side
     if hypotheses is not None:
-        hypotheses = _parse_candidates(hypotheses, line, "hypotheses")
+        hypotheses, hyp_side = _parse_candidates(hypotheses, line, "hypotheses")
     external = rows = obj.get("external_gain")
     if rows is not None:
         if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
@@ -209,7 +216,7 @@ def parse_instance_line(raw: str, line: int) -> Instance:
             tuple(_parse_number(v, line, "external_gain[{}][{}]", i, j) for j, v in enumerate(row))
             for i, row in enumerate(rows)
         )
-    return Instance(id=inst_id, evidence=evidence, hypotheses=hypotheses, external_gain=external)
+    return sided_instance(inst_id, evidence, hypotheses, external, (ev_side, hyp_side))
 
 
 def read_instances(stream: IO[str]) -> list[Instance]:

@@ -10,9 +10,10 @@ answer for ``answer_match`` (self-consistency) or the token sequence
 for ``exact_match`` (mode seeking); the n-gram gains are the ROUGE-n
 overlap kernel and sentence BLEU. Evidence samples repeat, since
 duplicates carry probability mass, so each side of an instance is
-interned once on one key, the stripped answer for ``answer_match`` and
-else the token sequence, tokenized once per distinct raw ``(text,
-tokens)`` pair; a table is built once per pair of distinct keys.
+interned on one key, the stripped answer for ``answer_match`` and else
+the token sequence, found once per distinct candidate of the side's
+:class:`~mbrkit.types.Side`; a table is built once per pair of
+distinct keys.
 The table, the two inverses and the token sequences form one
 :class:`GainTable`, from which the decoder also takes its length
 weights and tie lengths and reduces the expected gains over the
@@ -58,7 +59,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MbrError, MissingAnswerError, OrderMismatchError
-from .types import Candidate, GainSpec, Instance, require_external_gain
+from .types import Candidate, GainSpec, Instance, Side, require_external_gain
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -87,33 +88,27 @@ def candidate_tokens(c: Candidate, spec: GainSpec) -> tuple[str, ...]:
     return tokenize(c.text, spec)
 
 
-def distinct_tokens(cands, spec: GainSpec) -> tuple[list[tuple[str, ...]], np.ndarray]:
-    """The distinct token sequences of the candidates in order of first
-    occurrence, and each candidate's index among them: ``seqs[inverse[i]]``
-    is candidate ``i``'s. :func:`candidate_tokens` runs once per distinct
-    raw ``(text, tokens)`` pair; raw pairs with one sequence (in other
-    casing or spacing, or as tokens) share its index."""
-    raw: dict = {}
-    ids: dict = {}
-    inverse: list[int] = []
-    for c in cands:
-        j = raw.get((c.text, c.tokens))
-        if j is None:
-            j = raw[c.text, c.tokens] = ids.setdefault(candidate_tokens(c, spec), len(ids))
-        inverse.append(j)
-    return list(ids), np.array(inverse, dtype=np.intp)
+def distinct_tokens(side: Side, spec: GainSpec) -> tuple[list[tuple[str, ...]], np.ndarray]:
+    """The distinct token sequences of a side in order of first occurrence,
+    and each sample's index among them: ``seqs[inverse[i]]`` is sample
+    ``i``'s. :func:`candidate_tokens` runs once per distinct candidate,
+    the first time the side is asked for ``spec``'s sequences, which it
+    then keeps; candidates with one sequence (in other casing or spacing,
+    or as tokens) share its index."""
+    found = side.tokens.get(spec)
+    if found is None:
+        found = side.tokens[spec] = side.keyed([candidate_tokens(c, spec) for c in side.distinct])
+    return found
 
 
-def _distinct_answers(cands, side: str) -> tuple[list[str], np.ndarray]:
+def _distinct_answers(side: Side, name: str) -> tuple[list[str], np.ndarray]:
     """The distinct stripped answers of one side in order of first occurrence
-    and each candidate's index among them; MissingAnswerError at the first
-    candidate without one."""
-    answers = [c.answer for c in cands]
+    and each sample's index among them; MissingAnswerError at the first
+    sample without one."""
+    answers = [c.answer for c in side.distinct]
     if None in answers:
-        raise MissingAnswerError(f"{side}[{answers.index(None)}] has no extracted answer")
-    ids: dict = {}
-    inverse = np.array([ids.setdefault(a.strip(), len(ids)) for a in answers])
-    return list(ids), inverse
+        raise MissingAnswerError(f"{name}[{side.first(answers.index(None))}] has no extracted answer")
+    return side.keyed([a.strip() for a in answers])
 
 
 @dataclass(frozen=True)
@@ -337,7 +332,7 @@ def _clipped_matches(ev: _Postings, hyp: _Postings, height: int, width: int,
 
     # Spans of at most ``span`` level columns within one order's columns;
     # together they cover every column in order.
-    span = max(1, _PAIR_CHUNK // width)
+    span = max(1, _PAIR_CHUNK // max(width, 1))
     order_cols = order_cols.tolist()
     spans = [(n, col, min(span, end - col))
              for n, (start, end) in enumerate(zip(order_cols, order_cols[1:]))
@@ -453,9 +448,9 @@ def _bleu_finish(ref_lens: np.ndarray, hyp_lens: np.ndarray, correct: np.ndarray
         zero = matches == 0
         zero_orders += zero
         keys = origin[i, column] + np.where(zero, -zero_orders, matches)
-        used = np.flatnonzero(np.bincount(keys.ravel(), minlength=int(ends[i, -1])))
+        logs = np.zeros(keys.size and int(ends[i, -1]))  # no slot without a hypothesis
+        used = np.flatnonzero(np.bincount(keys.ravel(), minlength=len(logs)))
         length = np.searchsorted(ends[i], used, side="right")
-        logs = np.zeros(int(ends[i, -1]))
         logs[used] = [_log_precision(s, t) for s, t in zip((used - origin[i, length]).tolist(),
                                                            totals[i, length].tolist())]
         log_sum += logs[keys]
@@ -519,27 +514,17 @@ class GainTable(NamedTuple):
     and columns are each side's distinct keys in order of first occurrence,
     so a side without a repeated key has the identity inverse and its rows
     (or columns) are already in sample order; an external matrix has no
-    inverses and is the per-sample matrix itself. ``ev_seqs`` and
-    ``hyp_seqs`` are the keys, the distinct token sequences, for the gains
-    that tokenize (``ev_seqs[ev_inv[i]]`` is evidence i's), and None for
+    inverses and is the per-sample matrix itself. ``ev_tokens`` and
+    ``hyp_tokens`` are each side's keys as :func:`distinct_tokens` returns
+    them, for the gains that key on token sequences, and None for
     ``answer_match`` (keyed on stripped answers) and ``external``.
     """
 
     table: np.ndarray
     ev_inv: np.ndarray | None = None
     hyp_inv: np.ndarray | None = None
-    ev_seqs: list | None = None
-    hyp_seqs: list | None = None
-
-    @property
-    def ev_tokens(self) -> tuple[list, np.ndarray] | None:
-        """The evidence interning as :func:`distinct_tokens` returns it, if any."""
-        return None if self.ev_seqs is None else (self.ev_seqs, self.ev_inv)
-
-    @property
-    def hyp_tokens(self) -> tuple[list, np.ndarray] | None:
-        """The hypothesis interning as :func:`distinct_tokens` returns it, if any."""
-        return None if self.hyp_seqs is None else (self.hyp_seqs, self.hyp_inv)
+    ev_tokens: tuple[list, np.ndarray] | None = None
+    hyp_tokens: tuple[list, np.ndarray] | None = None
 
     def matrix(self) -> np.ndarray:
         """The per-sample gain matrix in C order. Columns are gathered
@@ -556,33 +541,34 @@ def gain_table(inst: Instance, spec: GainSpec, jobs: int = 1) -> GainTable:
     """The instance's gains over its distinct keys, each side interned once.
 
     ``external`` holds the instance's matrix as is. Every other gain
-    interns each side in one step, on the stripped answer for
-    ``answer_match`` and on the token sequence of :func:`distinct_tokens`
-    (tokenized once per distinct raw ``(text, tokens)`` pair) otherwise,
-    and builds the table in one more. Key match is the identity when the
-    sides are shared and one ``np.equal.outer`` of the keys' evidence rows
-    otherwise. The n-gram gains, ``rouge_n_kernel`` and ``sentence_bleu``,
-    run once per pair of distinct sequences; the postings of both sides
-    come from one :func:`_ngram_postings` call, one join covers every
-    order, and ``jobs`` > 1 runs the blocks of evidence rows, each filled
-    and finished, on one thread pool.
+    keys each side's Side (:meth:`~mbrkit.types.Instance.sides`) in one
+    step, on the stripped answer for ``answer_match`` and on the token
+    sequence of :func:`distinct_tokens` otherwise, each found once per
+    distinct candidate, and builds the table in one more. Key match is the
+    identity when the sides are shared and one ``np.equal.outer`` of the
+    keys' evidence rows otherwise. The n-gram gains, ``rouge_n_kernel``
+    and ``sentence_bleu``, run once per pair of distinct sequences; the
+    postings of both sides come from one :func:`_ngram_postings` call, one
+    join covers every order, and ``jobs`` > 1 runs the blocks of evidence
+    rows, each filled and finished, on one thread pool.
     Every cell is a function of its pair's keys alone and the join's sums
     are exact integers, so the gathered table is the per-sample table bit
     for bit, whatever ``jobs``. When the hypotheses are the evidence
     (absent, or the same tuple, as :func:`mbrkit.types.validate_instance`
-    leaves them), one side's interning, ids and postings serve both.
+    leaves them), one Side, its keys and postings serve both.
     """
     if spec.kind == "external":
         return GainTable(np.asarray(require_external_gain(inst, spec), dtype=np.float64))
 
-    hyps = inst.hypotheses if inst.hypotheses is not None else inst.evidence
-    shared = hyps is inst.evidence
+    ev_side, hyp_side = inst.sides()
+    shared = hyp_side is ev_side
     if spec.kind == "answer_match":
-        ev_keys, ev_inv = _distinct_answers(inst.evidence, "evidence")
-        hyp_keys, hyp_inv = (ev_keys, ev_inv) if shared else _distinct_answers(hyps, "hypotheses")
+        ev_tokens = hyp_tokens = None
+        ev_keys, ev_inv = _distinct_answers(ev_side, "evidence")
+        hyp_keys, hyp_inv = (ev_keys, ev_inv) if shared else _distinct_answers(hyp_side, "hypotheses")
     else:
-        ev_keys, ev_inv = distinct_tokens(inst.evidence, spec)
-        hyp_keys, hyp_inv = (ev_keys, ev_inv) if shared else distinct_tokens(hyps, spec)
+        ev_tokens, hyp_tokens = distinct_tokens(ev_side, spec), distinct_tokens(hyp_side, spec)
+        (ev_keys, ev_inv), (hyp_keys, hyp_inv) = ev_tokens, hyp_tokens
     if spec.kind not in ("exact_match", "answer_match"):
         table = _ngram_gains(ev_keys, hyp_keys, spec, jobs)
     elif shared:
@@ -591,9 +577,7 @@ def gain_table(inst: Instance, spec: GainSpec, jobs: int = 1) -> GainTable:
         row_of = {k: i for i, k in enumerate(ev_keys)}
         rows = np.array([row_of.get(k, -1) for k in hyp_keys])
         table = np.equal.outer(np.arange(len(ev_keys)), rows).astype(np.float64)
-    if spec.kind == "answer_match":
-        return GainTable(table, ev_inv, hyp_inv)
-    return GainTable(table, ev_inv, hyp_inv, ev_keys, hyp_keys)
+    return GainTable(table, ev_inv, hyp_inv, ev_tokens, hyp_tokens)
 
 
 def gain_matrix(inst: Instance, spec: GainSpec, jobs: int = 1) -> np.ndarray:

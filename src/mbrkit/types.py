@@ -9,6 +9,16 @@ dataclass ``__init__``. The invariant checks stay in
 :func:`validate_instance`, not in the constructors, so that IO layers can
 build partially-checked objects and report schema problems with their
 own context.
+
+Samples repeat, so which samples of a side are one candidate is decided
+once per side, in a :class:`Side`: the distinct candidates in order of
+first occurrence and each sample's index among them. The parser builds
+it from its twins, :func:`interned` builds it for an instance made
+through the API, and :meth:`Instance.sides` hands it to every layer.
+Validation, the gain table, the weights and dedup each run once per
+distinct candidate and gather their results back to the samples. A
+check that fails names the first sample that holds the failing
+candidate, which is the sample a per-sample check would name.
 """
 
 from __future__ import annotations
@@ -16,7 +26,9 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     ConfigError,
@@ -74,6 +86,51 @@ class Candidate:
                                               "answer": answer, "model_id": model_id})
 
 
+def intern(keys: Iterable) -> tuple[list, np.ndarray]:
+    """The distinct keys in order of first occurrence and each key's index
+    among them: ``distinct[inverse[i]]`` equals key ``i``."""
+    ids: dict = {}
+    inverse = [ids.setdefault(k, len(ids)) for k in keys]
+    return list(ids), np.array(inverse, dtype=np.intp)
+
+
+class Side(NamedTuple):
+    """One side's candidates interned: the distinct candidates in order of
+    first occurrence and each sample's index among them, so
+    ``distinct[inverse[i]]`` is sample ``i``; the parser gives a side in
+    which no sample repeats another the ``range`` of its samples as its
+    inverse. ``tokens`` keeps the side's token sequences per GainSpec once
+    :func:`mbrkit.metrics.distinct_tokens` has built them, so a side is
+    tokenized once whoever asks."""
+
+    distinct: Sequence[Candidate]
+    inverse: np.ndarray | range
+    tokens: dict
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """Values of the distinct candidates as values of the samples;
+        ``values`` itself when no sample repeats another."""
+        return values if len(self.distinct) == len(self.inverse) else values[self.inverse]
+
+    def keyed(self, keys: Iterable) -> tuple[list, np.ndarray]:
+        """The distinct values of ``keys``, one key per distinct candidate,
+        in order of first occurrence, and each sample's index among them."""
+        distinct, ids = intern(keys)
+        return distinct, self.gather(ids)
+
+    def first(self, d: int) -> int:
+        """The first sample of distinct candidate ``d``."""
+        return list(self.inverse).index(d)
+
+
+def interned(cands: Sequence[Candidate]) -> Side:
+    """The Side of candidates built through the API, keyed on each
+    candidate's fields, the fields the parser compares. Equality here is
+    the dataclass's, so scores of one value (``1`` and ``1.0``, or
+    ``-0.0`` and ``0.0``) are one key; no decoded output tells them apart."""
+    return Side(*intern(cands), {})
+
+
 @dataclass(frozen=True)
 class Instance:
     """One decoding problem: evidence multiset, hypothesis set, optional
@@ -89,6 +146,30 @@ class Instance:
     evidence: tuple[Candidate, ...]
     hypotheses: tuple[Candidate, ...] | None = None
     external_gain: tuple[tuple[float, ...], ...] | None = None
+    # Set by sided_instance. Not an init field, so dataclasses.replace,
+    # which may change a side, drops it; not compared or shown either.
+    _sides: tuple[Side, Side] | None = field(default=None, init=False, compare=False, repr=False)
+
+    def sides(self) -> tuple[Side, Side]:
+        """The evidence and hypothesis Sides, one Side when the hypotheses
+        are the evidence (absent or the same sequence): those the parser
+        or :func:`validate_instance` built, or else :func:`interned` ones."""
+        if self._sides is not None:
+            return self._sides
+        evidence, hyps = interned(self.evidence), self.hypotheses
+        return evidence, evidence if hyps is None or hyps is self.evidence else interned(hyps)
+
+
+def sided_instance(id: str, evidence: tuple, hypotheses: tuple | None, external_gain: tuple | None,
+                   sides: tuple[Side, Side]) -> Instance:
+    """The Instance of these fields carrying ``sides``, which must be the
+    Sides of its evidence and hypotheses. Its ``__dict__`` is set in one
+    assignment, as :class:`Candidate` sets its own: under half the cost
+    of the dataclass ``__init__`` and a second assignment for ``sides``."""
+    inst = object.__new__(Instance)
+    object.__setattr__(inst, "__dict__", {"id": id, "evidence": evidence, "hypotheses": hypotheses,
+                                          "external_gain": external_gain, "_sides": sides})
+    return inst
 
 
 @dataclass(frozen=True)
@@ -188,41 +269,40 @@ class DecodeResult:
     votes: int | None = None
 
 
-def _check_finite_scores(cands: tuple[Candidate, ...], side: str) -> None:
-    for i, c in enumerate(cands):
+def _check_finite_scores(side: Side, name: str) -> None:
+    for d, c in enumerate(side.distinct):
         if c.score is not None and not math.isfinite(c.score):
-            raise NonFiniteValueError(f"{side}[{i}] has non-finite score {c.score!r}")
+            raise NonFiniteValueError(f"{name}[{side.first(d)}] has non-finite score {c.score!r}")
 
 
-def evidence_scores(evidence: tuple[Candidate, ...], kind: str) -> list[float]:
-    """Every evidence score, for score-based weighting ``kind``; raises
-    MissingScoreError at the first candidate without one."""
-    for i, c in enumerate(evidence):
-        if c.score is None:
-            raise MissingScoreError(
-                f"weighting kind {kind!r} requires a score on every evidence "
-                f"candidate; evidence[{i}] has none"
-            )
-    return [c.score for c in evidence]
+def evidence_scores(evidence: Side, kind: str) -> list[float]:
+    """The score of each distinct evidence candidate, for score-based
+    weighting ``kind``; raises MissingScoreError at the first sample
+    without one."""
+    scores = [c.score for c in evidence.distinct]
+    if None in scores:
+        raise MissingScoreError(
+            f"weighting kind {kind!r} requires a score on every evidence "
+            f"candidate; evidence[{evidence.first(scores.index(None))}] has none"
+        )
+    return scores
 
 
-def evidence_model_ids(
-    evidence: tuple[Candidate, ...], mixture_weights: dict[str, float] | None
-) -> list[str]:
-    """Every evidence model id, for mixture weighting; raises
-    MissingModelIdError at the first candidate without one or, when
-    ``mixture_weights`` is given, with one it does not name."""
-    for i, c in enumerate(evidence):
+def evidence_model_ids(evidence: Side, mixture_weights: dict[str, float] | None) -> list[str]:
+    """The model id of each distinct evidence candidate, for mixture
+    weighting; raises MissingModelIdError at the first sample without one
+    or, when ``mixture_weights`` is given, with one it does not name."""
+    for d, c in enumerate(evidence.distinct):
         if c.model_id is None:
             raise MissingModelIdError(
                 f"mixture weighting requires a model_id on every evidence candidate; "
-                f"evidence[{i}] has none"
+                f"evidence[{evidence.first(d)}] has none"
             )
         if mixture_weights is not None and c.model_id not in mixture_weights:
             raise MissingModelIdError(
-                f"evidence[{i}] model_id {c.model_id!r} is not in the mixture weights"
+                f"evidence[{evidence.first(d)}] model_id {c.model_id!r} is not in the mixture weights"
             )
-    return [c.model_id for c in evidence]
+    return [c.model_id for c in evidence.distinct]
 
 
 def require_external_gain(inst: Instance, gain: GainSpec) -> tuple | None:
@@ -248,12 +328,14 @@ def validate_instance(
     gains to floats, and verifies the field requirements of the given
     gain and weighting specs.
     Idempotent: validating a validated instance returns an equal instance.
+    The checks run once per distinct candidate of :meth:`Instance.sides`,
+    which the returned instance carries.
 
     With ``dedup_hypotheses`` the hypothesis list keeps the first sample
-    of each id of :func:`mbrkit.metrics.distinct_tokens`, that is of each
-    token sequence, tokenized once per distinct raw candidate; external
-    gain columns are sliced to match. Off by default because it changes
-    tie-break outcomes.
+    of each token sequence of :func:`mbrkit.metrics.distinct_tokens`,
+    and its Side keeps those sequences, so they are not tokenized again;
+    external gain columns are sliced to match. Off by default because it
+    changes tie-break outcomes.
     """
     evidence = tuple(inst.evidence)
     if not evidence:
@@ -263,9 +345,10 @@ def validate_instance(
     if not hypotheses:
         raise EmptyHypothesesError("empty hypothesis set")
 
-    _check_finite_scores(evidence, "evidence")
-    if hypotheses is not evidence:
-        _check_finite_scores(hypotheses, "hypotheses")
+    ev_side, hyp_side = inst.sides()
+    _check_finite_scores(ev_side, "evidence")
+    if hyp_side is not ev_side:
+        _check_finite_scores(hyp_side, "hypotheses")
 
     external = require_external_gain(inst, gain)
     if external is not None:
@@ -285,19 +368,20 @@ def validate_instance(
         # Local import: metrics depends on this module for GainSpec.
         from .metrics import distinct_tokens
 
-        # Ids count up from 0 in order of first occurrence.
-        keep: list[int] = []
-        for j, k in enumerate(distinct_tokens(hypotheses, gain)[1].tolist()):
-            if k == len(keep):
-                keep.append(j)
-        if len(keep) != len(hypotheses):
+        seqs, inverse = distinct_tokens(hyp_side, gain)
+        if len(seqs) != len(hypotheses):
+            # Ids count up from 0 in order of first occurrence, so the first
+            # index of each, in id order, is in sample order too.
+            keep = np.unique(inverse, return_index=True)[1].tolist()
             hypotheses = tuple(hypotheses[j] for j in keep)
+            order = np.arange(len(keep))
+            hyp_side = Side(hypotheses, order, {gain: (seqs, order)})
             if external is not None:
                 external = tuple(tuple(row[j] for j in keep) for row in external)
 
     if weight.kind in SCORE_WEIGHT_KINDS:
-        evidence_scores(evidence, weight.kind)
+        evidence_scores(ev_side, weight.kind)
     if weight.kind == "mixture":
-        evidence_model_ids(evidence, weight.mixture_weights)
+        evidence_model_ids(ev_side, weight.mixture_weights)
 
-    return Instance(id=inst.id, evidence=evidence, hypotheses=hypotheses, external_gain=external)
+    return sided_instance(inst.id, evidence, hypotheses, external, (ev_side, hyp_side))

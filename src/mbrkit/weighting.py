@@ -7,13 +7,14 @@ normalized importance sampling: unnormalized log weights log w = s_target
 - s are exponentiated after max-subtraction and normalized to sum 1. The
 estimator is consistent but biased at finite sample size, so the
 effective sample size 1 / sum(w_i^2) is surfaced as a diagnostic instead
-of any bias correction.
+of any bias correction. Weights stay per sample, but what they read of
+the candidates (scores, model ids, token counts) is read once per
+distinct candidate of the evidence's Side and gathered to the samples.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateWeightsError, EmptyEvidenceError, ZeroLengthCandidateError
 from .metrics import distinct_tokens
-from .types import GainSpec, Instance, WeightSpec, evidence_model_ids, evidence_scores
+from .types import GainSpec, Instance, Side, WeightSpec, evidence_model_ids, evidence_scores
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,17 +107,14 @@ def _uniform_weights(n: int) -> WeightVector:
     return WeightVector(weights=weights, log_unnormalized=log_unnorm, ess=_ess(weights))
 
 
-def _mixture_weights(inst: Instance, spec: WeightSpec) -> tuple[np.ndarray, np.ndarray]:
-    model_ids = evidence_model_ids(inst.evidence, spec.mixture_weights)
-    if spec.mixture_weights is None:
-        # Unspecified mixtures are uniform over the distinct models present.
-        pi = {m: 1.0 for m in dict.fromkeys(model_ids)}
-    else:
-        pi = dict(spec.mixture_weights)
+def _mixture_weights(evidence: Side, spec: WeightSpec) -> tuple[np.ndarray, np.ndarray]:
+    models, model_of = evidence.keyed(evidence_model_ids(evidence, spec.mixture_weights))
+    # Unspecified mixtures are uniform over the distinct models present.
+    pi = spec.mixture_weights or dict.fromkeys(models, 1.0)
     pi_total = sum(pi.values())
-    counts = Counter(model_ids)
+    counts = np.bincount(model_of, minlength=len(models)).tolist()
     # Each model's n_k samples share that model's probability mass pi_k.
-    raw = np.array([pi[m] / pi_total / counts[m] for m in model_ids])
+    raw = np.array([pi[m] / pi_total / n for m, n in zip(models, counts)])[model_of]
     total = raw.sum()
     if total <= 0:
         raise DegenerateWeightsError("every evidence candidate has zero mixture mass")
@@ -125,8 +123,7 @@ def _mixture_weights(inst: Instance, spec: WeightSpec) -> tuple[np.ndarray, np.n
     return raw / total, log_raw
 
 
-def compute_weights(inst: Instance, spec: WeightSpec, gain_spec: GainSpec,
-                    tokens: tuple[list, np.ndarray] | None = None) -> WeightVector:
+def compute_weights(inst: Instance, spec: WeightSpec, gain_spec: GainSpec) -> WeightVector:
     """Normalized weights of the evidence multiset under the weighting spec.
 
     uniform        w_i = 1/n (plain Monte Carlo); the vector of the last
@@ -145,26 +142,27 @@ def compute_weights(inst: Instance, spec: WeightSpec, gain_spec: GainSpec,
     no warning; the log weights that are +inf, if any, share all the mass
     equally, and a nan log weight is a DegenerateWeightsError; an
     instance without evidence is an EmptyEvidenceError for every kind.
-    The length kinds take token counts from ``tokens``, the evidence
-    interning of :func:`mbrkit.metrics.distinct_tokens` (the decoder
-    passes the gain table's, or one it builds for the gains whose table
-    holds no tokens), or else intern the evidence themselves, so
-    each distinct ``(text, tokens)`` candidate is tokenized once; they
-    correct all scores with one :func:`corrected_score` call.
+    Scores and model ids are read once per distinct candidate of the
+    evidence Side (:meth:`~mbrkit.types.Instance.sides`); the length
+    kinds take token counts from that Side's
+    :func:`mbrkit.metrics.distinct_tokens`, which the gain table has
+    already built for the gains that tokenize, and correct all scores
+    with one :func:`corrected_score` call.
     """
     if not inst.evidence:
         raise EmptyEvidenceError("no evidence candidates")
     if spec.kind == "uniform":
         return _uniform_weights(len(inst.evidence))
+    evidence = inst.sides()[0]
     if spec.kind == "mixture":
-        weights, log_unnorm = _mixture_weights(inst, spec)
+        weights, log_unnorm = _mixture_weights(evidence, spec)
     else:
-        scores = np.array(evidence_scores(inst.evidence, spec.kind), dtype=np.float64)
+        scores = evidence.gather(np.array(evidence_scores(evidence, spec.kind), dtype=np.float64))
         with np.errstate(over="ignore"):
             if spec.kind == "temperature":
                 log_unnorm = scores * (1.0 / spec.tau - 1.0)
             else:
-                seqs, inverse = tokens or distinct_tokens(inst.evidence, gain_spec)
+                seqs, inverse = distinct_tokens(evidence, gain_spec)
                 lengths = np.array([len(t) for t in seqs], dtype=np.int64)[inverse]
                 log_unnorm = corrected_score(scores, lengths, spec) - scores
             if np.any(np.isnan(log_unnorm)):

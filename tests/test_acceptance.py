@@ -212,12 +212,13 @@ def test_criterion_07_importance_sampling_correctness():
             Instance(id=f"is{k}", evidence=evidence, hypotheses=hypotheses),
             ROUGE1, UNIFORM,
         )
-        # One table per distribution: its evidence interning gives every
-        # correction its lengths, so the 100k samples are interned once.
+        # One table per distribution: the token sequences it keeps on the
+        # instance's evidence Side give every correction its lengths, so
+        # the 100k samples are interned and tokenized once.
         table = gain_table(inst, ROUGE1)
         matrix = table.matrix()
         for spec in specs:
-            weights = compute_weights(inst, spec, ROUGE1, table.ev_tokens)
+            weights = compute_weights(inst, spec, ROUGE1)
             estimate = expected_gains(matrix, weights)
             target = dist.corrected(spec)
             exact = np.array([target.expected_gain(s, ROUGE1) for s in space])

@@ -48,6 +48,17 @@ CLI_DIGESTS = {
     "vote-batch": "f14d59b1335bc4ded0bea30684222354b0dba459651a85e3d5378399ba09d5e8",
 }
 
+# The same digests for the batches of seeds 2 and 3, of the same sizes.
+MORE_CLI_DIGESTS = {
+    ("rouge1-dup", 2): "c88da04756ffe794b519665d5733ea28e002e30b642edac2f39ebccfab3ca816",
+    ("rouge1-dup", 3): "9cdf81abdf13703aaec28881073892c31c95de014e4ae694f0057d74da12d92d",
+    ("bleu4-distinct", 2): "48c23b976048fa8efddaaa4d28e9315d1127fc2e5adec2d94a066118cae38d85",
+    ("bleu4-distinct", 3): "b0677d6a5b9cf0c31ad28f6014296b08106c03882cb42ae7aed3d215e15f388f",
+    ("vote-batch", 2): "34a4106efc46e8537819cc14c80a85a15e144abee364e418878a2c6463d46d5c",
+    ("vote-batch", 3): "8e9ad12d0fc30f69e7471477ac1b0cc7d5b03233c58b4f398f788bb704e5a7c0",
+}
+BATCH_LINES = {"rouge1-dup": 3, "bleu4-distinct": 3, "vote-batch": 200}
+
 
 @pytest.mark.parametrize("name, lines", [("rouge1-dup", 3), ("bleu4-distinct", 3),
                                          ("vote-batch", 200)])
@@ -81,3 +92,13 @@ def test_trace_passes_give_the_cli_output(tmp_path, harness, name, lines):
                for no, raw in enumerate(batch.read_text(encoding="utf-8").splitlines(), 1)]
     cells = sum(metrics.gain_table(inst, config.gain).table.size for inst in checked)
     assert cells == shape["metrics.distinct_gain_cells"]
+
+
+@pytest.mark.parametrize("name, seed", sorted(MORE_CLI_DIGESTS))
+def test_cli_output_is_pinned_at_more_seeds(tmp_path, harness, name, seed):
+    workloads, _ = harness
+    workload = workloads.WORKLOADS[name]
+    batch, out = tmp_path / "batch.jsonl", tmp_path / "out.jsonl"
+    workloads.write_batch(workload, seed, BATCH_LINES[name], str(batch))
+    assert run([*workload.flags, "--input", str(batch), "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MORE_CLI_DIGESTS[name, seed]

@@ -881,6 +881,52 @@ class TestDecodeCommand:
         assert [r["tie_broken"] for r in records] == [True, True]
         assert len(calls) == sum(distinct_per_line.values())
 
+    @pytest.mark.parametrize("metric", ["rouge", "bleu", "exact", "answer"])
+    def test_one_tokenization_per_distinct_candidate_per_side_with_dedup(
+            self, tmp_path, capsys, monkeypatch, metric):
+        # Dedup, the gain table, the length weights and the longest tie rule
+        # all read one tokenization of each side: dedup's sequences are
+        # handed over with the kept hypotheses, so a whole decode calls
+        # candidate_tokens once per distinct candidate of each side.
+        from mbrkit import metrics
+
+        def cand(text, tokens=None):
+            c = {"text": text, "score": -1.0 - len(text), "answer": "A"}
+            return c if tokens is None else {**c, "tokens": tokens}
+
+        # Shared sides: "a b" and its twins in other spacing or as tokens,
+        # "b a" (a tie with "a b" under ROUGE-1) and "c"; dedup keeps one
+        # hypothesis per sequence.
+        shared = [cand("a b"), cand("a b"), cand("A  b"), cand("a b"), cand("x", ["a", "b"]),
+                  cand("b a"), cand("A  b"), cand("x", ["a", "b"]), cand("b a"), cand("c")]
+        # Own hypotheses that share no token with the evidence: the two kept
+        # ones, "e f" and "f e", have equal gains under every metric, so the
+        # longest rule reads their lengths.
+        evidence = [cand("c d"), cand("c d"), cand("C d"), cand("c d"), cand("c"), cand("C d")]
+        hypotheses = [cand("e f"), cand("f e"), cand("e f"), cand("E f"), cand("f  e"), cand("f e")]
+        lines = [json.dumps({"id": "shared", "evidence": shared}),
+                 json.dumps({"id": "own", "evidence": evidence, "hypotheses": hypotheses})]
+        distinct = [("a b", None), ("A  b", None), ("x", ("a", "b")), ("b a", None), ("c", None),
+                    ("c d", None), ("C d", None), ("c", None),
+                    ("e f", None), ("f e", None), ("E f", None), ("f  e", None)]
+        inp = self.write_input(tmp_path, lines)
+        calls = []
+        tokens = metrics.candidate_tokens
+
+        def counted(c, spec):
+            calls.append((c.text, c.tokens))
+            return tokens(c, spec)
+
+        monkeypatch.setattr(metrics, "candidate_tokens", counted)
+        code, out, err = self.run_captured(capsys, [
+            "decode", "--metric", metric, "--weighting", "length-norm", "--beta", "1",
+            "--tie-break", "longest", "--dedup-hypotheses", "--input", str(inp)])
+        assert (code, err) == (0, [])
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[1]["tie_broken"] is True
+        assert records[1]["selected_text"] == "e f"
+        assert sorted(calls, key=repr) == sorted(distinct, key=repr)
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_bare_carriage_return_does_not_split_a_line(self, tmp_path, capsys, jobs):
         # A bare CR is JSON whitespace inside one line, not a line end.

@@ -24,7 +24,7 @@ from mbrkit import (
     self_consistency,
     validate_instance,
 )
-from mbrkit import decoder, metrics
+from mbrkit import decoder, metrics, types
 from mbrkit.metrics import GainTable
 
 ROUGE1 = GainSpec(kind="rouge_n_kernel", n=1)
@@ -252,9 +252,9 @@ class TestSelect:
         assert select(np.array([0.5, 0.5, 0.5]), hyps, tie_break="longest") == (1, True)
 
     def test_longest_rule_without_an_interning_tokenizes_each_distinct_once(self, monkeypatch):
-        # Repeats and case twins, all tied: the rule interns the slate with
-        # metrics.distinct_tokens, one tokenization per distinct raw
-        # candidate, and picks as the given interning does.
+        # Repeats and case twins, all tied: the rule interns the slate and
+        # reads metrics.distinct_tokens, one tokenization per distinct
+        # candidate, and picks as with a given Side.
         texts = ("a b", "A b", "a  b", "a b", "a b c", "A b", "a b c", "a  b")
         hyps = tuple(Candidate(text=t) for t in texts)
         gains = np.full(len(hyps), 0.5)
@@ -269,7 +269,7 @@ class TestSelect:
         got = select(gains, hyps, "longest", ROUGE1)
         assert sorted(calls) == sorted(set(texts))
         monkeypatch.setattr(metrics, "candidate_tokens", tokens)
-        want = select(gains, hyps, "longest", ROUGE1, metrics.distinct_tokens(hyps, ROUGE1))
+        want = select(gains, hyps, "longest", ROUGE1, types.interned(hyps))
         assert got == want == (4, True)
 
     def test_tie_rules_fall_back_to_lowest_index(self):

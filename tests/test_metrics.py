@@ -439,6 +439,26 @@ class TestGainMatrix:
         )
         assert np.array_equal(gain_matrix(inst, EXACT), np.eye(2))
 
+    @pytest.mark.parametrize("spec", [EXACT, GainSpec(kind="answer_match"), ROUGE1, ROUGE2,
+                                      GainSpec(kind="rouge_n_kernel", n=5), BLEU4,
+                                      GainSpec(kind="sentence_bleu", max_order=1)],
+                             ids=["exact", "answer", "rouge1", "rouge2", "rouge5", "bleu4", "bleu1"])
+    def test_an_empty_side_gives_an_empty_matrix(self, spec):
+        # Only validation rejects an empty side; the gains themselves give an
+        # (E, 0) or (0, H) matrix, the n-gram gains included.
+        side = (Candidate(text="a b", answer="1"), Candidate(text="a b c", answer="2"),
+                Candidate(text="a b", answer="1"))
+        for inst, shape in ((Instance(id="t", evidence=side, hypotheses=()), (3, 0)),
+                            (Instance(id="t", evidence=(), hypotheses=side), (0, 3))):
+            matrix = gain_matrix(inst, spec)
+            assert matrix.shape == shape and matrix.dtype == np.float64
+            assert metrics.gain_table(inst, spec).matrix().shape == shape
+
+    def test_external_gain_with_no_hypotheses_is_empty(self):
+        inst = Instance(id="t", evidence=(cand("a"), cand("b")), hypotheses=(),
+                        external_gain=((), ()))
+        assert gain_matrix(inst, GainSpec(kind="external")).shape == (2, 0)
+
     def test_external_passthrough(self):
         matrix = ((0.1, 0.9), (0.7, 0.3))
         inst = validate_instance(
@@ -1000,7 +1020,14 @@ class TestMultisetCompression:
         assert calls["candidate_tokens"] == 3 + len({c.text for c in evidence[:40]})
         assert sides == [(distinct, False)]
         calls.clear()
-        compute_weights(inst, WeightSpec(kind="length_norm", beta=1.0), ROUGE1)
+        # The length weights read the sequences the table kept on the
+        # instance's Side, and tokenize a fresh instance once per distinct
+        # candidate.
+        length_norm = WeightSpec(kind="length_norm", beta=1.0)
+        compute_weights(inst, length_norm, ROUGE1)
+        assert calls["candidate_tokens"] == 0
+        compute_weights(validate_instance(Instance(id="t", evidence=evidence), ROUGE1, length_norm),
+                        length_norm, ROUGE1)
         assert calls["candidate_tokens"] == 3
 
 

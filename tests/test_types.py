@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import json
 import math
 import pickle
 
@@ -16,10 +17,12 @@ from mbrkit import (
     GainSpec,
     Instance,
     MatrixShapeMismatchError,
+    MbrError,
     MissingModelIdError,
     MissingScoreError,
     NonFiniteValueError,
     WeightSpec,
+    decode,
     gain_matrix,
     validate_instance,
 )
@@ -343,3 +346,119 @@ class TestValidateInstance:
         )
         checked = validate_instance(inst, GainSpec(), WeightSpec())
         assert checked.evidence[0].tokens == ("a", "b")
+
+
+def _line(evidence, hypotheses=None):
+    record = {"id": "t", "evidence": evidence}
+    if hypotheses is not None:
+        record["hypotheses"] = hypotheses
+    return json.dumps(record)
+
+
+def _api_twin(line: str) -> Instance:
+    """The instance of a JSONL line built through the API, with fresh candidates."""
+    record = json.loads(line)
+    hypotheses = record.get("hypotheses")
+    return Instance(id=record["id"], evidence=tuple(Candidate(**c) for c in record["evidence"]),
+                    hypotheses=hypotheses and tuple(Candidate(**c) for c in hypotheses))
+
+
+A = {"text": "a b", "score": -1.0, "answer": "1", "model_id": "m0"}
+B = {"text": "b", "score": -2.0, "answer": "2", "model_id": "m1"}
+
+
+class TestSides:
+    LINE = _line([A, A, B, A, {"text": "A  b", "score": -1.5, "answer": "1", "model_id": "m0"},
+                  A, {"text": "x", "tokens": ["a", "b"], "score": -3.0, "answer": "1",
+                      "model_id": "m1"}, B],
+                 [B, {"text": "c d", "score": -1.0, "answer": "2"}, B, B])
+    SPECS = [(GainSpec(), WeightSpec(kind="length_norm", beta=1.0)),
+             (GainSpec(kind="sentence_bleu"), WeightSpec(kind="temperature", tau=0.5)),
+             (GainSpec(kind="exact_match"), WeightSpec(kind="length_reward", gamma=0.5)),
+             (GainSpec(kind="answer_match"), WeightSpec(kind="mixture"))]
+
+    def test_parsed_instance_equals_its_api_twin(self):
+        parsed, api = parse_instance_line(self.LINE, 1), _api_twin(self.LINE)
+        assert parsed == api and repr(parsed) == repr(api) and hash(parsed) == hash(api)
+        for ours, theirs in zip(parsed.sides(), api.sides()):
+            assert [vars(c) for c in ours.distinct] == [vars(c) for c in theirs.distinct]
+            assert ours.inverse.tolist() == theirs.inverse.tolist()
+        assert [len(s.distinct) for s in parsed.sides()] == [4, 2]
+        assert parsed.sides()[0].inverse.tolist() == [0, 0, 1, 0, 2, 0, 3, 1]
+
+    def test_hypotheses_absent_or_the_evidence_share_one_side(self):
+        parsed = parse_instance_line(_line([A, B, A]), 1)
+        ev, hyp = parsed.sides()
+        assert hyp is ev
+        checked = validate_instance(parsed, GainSpec(), WeightSpec())
+        assert checked.hypotheses is checked.evidence
+        assert checked.sides()[1] is checked.sides()[0] is ev
+        ev, hyp = Instance(id="t", evidence=parsed.evidence, hypotheses=parsed.evidence).sides()
+        assert hyp is ev
+
+    @pytest.mark.parametrize("field", ["evidence", "hypotheses"])
+    def test_replace_decodes_like_a_fresh_instance(self, field):
+        other = _line([B, {"text": "c d e", "score": -0.5, "answer": "2", "model_id": "m0"}, B])
+        replaced = dataclasses.replace(parse_instance_line(self.LINE, 1),
+                                       **{field: parse_instance_line(other, 2).evidence})
+        fresh = dataclasses.replace(_api_twin(self.LINE), **{field: _api_twin(other).evidence})
+        assert replaced == fresh
+        for gain, weight in self.SPECS:
+            assert decode(replaced, gain, weight) == decode(fresh, gain, weight)
+            assert np.array_equal(gain_matrix(replaced, gain), gain_matrix(fresh, gain))
+
+    def test_validation_is_idempotent_and_keeps_the_sides(self):
+        parsed = parse_instance_line(self.LINE, 1)
+        for gain, weight in self.SPECS:
+            for dedup in (False, True):
+                once = validate_instance(parsed, gain, weight, dedup)
+                twice = validate_instance(once, gain, weight, dedup)
+                assert once == twice
+                assert all(a is b for a, b in zip(once.sides(), twice.sides()))
+                assert decode(once, gain, weight) == decode(twice, gain, weight) \
+                    == decode(_api_twin(self.LINE), gain, weight, dedup_hypotheses=dedup)
+
+    # Each check runs once per distinct candidate and names the first sample
+    # holding the failing one: sample 4, after twins of sample 0, though it
+    # is the third distinct candidate. The texts are those the per-sample
+    # checks gave.
+    BAD = {"text": "c", "score": -1.0, "answer": "1", "model_id": "m0"}
+    CHECKS = [
+        ("nonfinite-evidence", [A, A, B, A, {**BAD, "score": "NaN"}, A, {**BAD, "score": "NaN"}],
+         None, GainSpec(), WeightSpec(), "evidence[4] has non-finite score nan"),
+        ("nonfinite-hypotheses", [A], [A, A, B, A, {**BAD, "score": "Infinity"}, A,
+                                       {**BAD, "score": "Infinity"}],
+         GainSpec(), WeightSpec(), "hypotheses[4] has non-finite score inf"),
+        ("missing-score", [A, A, B, A, {**BAD, "score": None}, A, {**BAD, "score": None}], None,
+         GainSpec(), WeightSpec(kind="temperature", tau=0.5),
+         "weighting kind 'temperature' requires a score on every evidence candidate; "
+         "evidence[4] has none"),
+        ("missing-model-id", [A, A, B, A, {**BAD, "model_id": None}, A, {**BAD, "model_id": None}],
+         None, GainSpec(), WeightSpec(kind="mixture"),
+         "mixture weighting requires a model_id on every evidence candidate; evidence[4] has none"),
+        ("unknown-model-id", [A, A, B, A, {**BAD, "model_id": "zz"}, A, {**BAD, "model_id": "zz"}],
+         None, GainSpec(), WeightSpec(kind="mixture", mixture_weights={"m0": 1.0, "m1": 1.0}),
+         "evidence[4] model_id 'zz' is not in the mixture weights"),
+        ("missing-answer", [A, A, B, A, {**BAD, "answer": None}, A, {**BAD, "answer": None}],
+         None, GainSpec(kind="answer_match"), WeightSpec(),
+         "evidence[4] has no extracted answer"),
+        ("missing-hypothesis-answer", [A], [A, A, B, A, {**BAD, "answer": None}, A,
+                                            {**BAD, "answer": None}],
+         GainSpec(kind="answer_match"), WeightSpec(), "hypotheses[4] has no extracted answer"),
+    ]
+
+    @pytest.mark.parametrize("evidence, hypotheses, gain, weight, message",
+                             [case[1:] for case in CHECKS], ids=[case[0] for case in CHECKS])
+    def test_a_failing_check_names_the_first_sample_of_its_candidate(
+            self, evidence, hypotheses, gain, weight, message):
+        def as_json(side):
+            return side and [{k: (float(v) if k == "score" and isinstance(v, str) else v)
+                              for k, v in c.items() if v is not None} for c in side]
+
+        line = _line(as_json(evidence), as_json(hypotheses))
+        for inst in (parse_instance_line(line.replace('"NaN"', "NaN")
+                                         .replace('"Infinity"', "Infinity"), 1),
+                     _api_twin(line)):
+            with pytest.raises(MbrError) as failure:
+                decode(inst, gain, weight)
+            assert str(failure.value) == f"instance 't': {message}"
