@@ -13,22 +13,23 @@ closed at start and not replaced by a path included.
 from __future__ import annotations
 
 import argparse
-import multiprocessing as mp
 import os
 import sys
 from collections import deque
-from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
+from typing import TYPE_CHECKING
 
 from .decoder import decode
 from .errors import ConfigError, MbrError, ParseError, SchemaError, with_instance_id
 from .io import RawJson, dumps, iter_lines, parse_instance_line, result_record, write_instances
 from .metrics import gain_matrix
 from .oracle import build_fixture_instances
-from .selfcheck import run_selfcheck
 from .types import GainSpec, Instance, WeightSpec, validate_instance
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 METRIC_NAMES = {
     "exact": "exact_match",
@@ -267,10 +268,33 @@ def _process_line(numbered: tuple[int, str], config: RunConfig,
         return False, f"line {line_no}: {type(exc).__name__}: {exc}"
 
 
-#: Lines in flight per worker process with ``--jobs`` > 1: the parent
-#: reads at most ``_WINDOW_PER_JOB * jobs`` lines past the last line it
-#: has written.
+def _process_task(task: list[tuple[int, str]], config: RunConfig,
+                  record_fn, echo: RawJson) -> list[tuple[bool, bytes | str]]:
+    """``_process_line`` of each line of one pool task, in order."""
+    return [_process_line(numbered, config, record_fn, echo) for numbered in task]
+
+
+#: Pool tasks in flight per worker process with ``--jobs`` > 1.
 _WINDOW_PER_JOB = 4
+#: With ``--jobs`` > 1 a pool task is a run of consecutive lines that
+#: closes once it holds ``_TASK_BYTES`` characters of input (its bytes, for
+#: ASCII input) or ``_TASK_LINES`` lines.
+_TASK_BYTES = 64 * 1024
+_TASK_LINES = 256
+
+
+def _tasks(lines, max_bytes: int, max_lines: int):
+    """Consecutive ``(line_no, text)`` items in lists: each list closes once
+    it holds ``max_bytes`` characters of text or ``max_lines`` items."""
+    task, size = [], 0
+    for numbered in lines:
+        task.append(numbered)
+        size += len(numbered[1])
+        if size >= max_bytes or len(task) == max_lines:
+            yield task
+            task, size = [], 0
+    if task:
+        yield task
 
 
 def _windowed_map(pool: Executor, fn, items, window: int, *args):
@@ -306,8 +330,11 @@ def _run_batch(config: RunConfig, record_fn, echo: dict) -> int:
     """Stream the input through ``_process_line``, writing each outcome in
     input order as it arrives; results go to the output, errors to stderr.
     With ``jobs`` > 1 the lines go to at most ``os.cpu_count()`` worker
-    processes through a window of ``_WINDOW_PER_JOB * jobs`` lines
-    (:func:`_windowed_map`).
+    processes in tasks of consecutive lines (:func:`_tasks`; one line each
+    when a terminal reads the output), through a window of
+    ``_WINDOW_PER_JOB * jobs`` tasks (:func:`_windowed_map`), so the parent
+    reads at most ``_WINDOW_PER_JOB * jobs * _TASK_LINES`` lines past the
+    last line it has written. The pool's modules are imported only then.
 
     ``echo`` is the same on every line, so it is serialized once here.
     """
@@ -336,14 +363,19 @@ def _run_batch(config: RunConfig, record_fn, echo: dict) -> int:
             sink = stack.enter_context(_open_path("--output", config.output, "wb"))
         lines = iter_lines(source)
         if config.jobs > 1:
+            import multiprocessing as mp
+            from concurrent.futures import ProcessPoolExecutor
+
             methods = mp.get_all_start_methods()
             ctx = mp.get_context("fork" if "fork" in methods else methods[0])
             # Under fork every worker starts at the first submit, so the
             # pool has at most one per core; the window stays in jobs.
             workers = min(config.jobs, os.cpu_count() or 1)
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers, mp_context=ctx))
-            outcomes = _windowed_map(pool, _process_line, lines, _WINDOW_PER_JOB * config.jobs,
-                                     config, record_fn, echo)
+            tasks = _tasks(lines, _TASK_BYTES, 1 if flush_lines else _TASK_LINES)
+            outcomes = chain.from_iterable(_windowed_map(
+                pool, _process_task, tasks, _WINDOW_PER_JOB * config.jobs,
+                config, record_fn, echo))
         else:
             outcomes = map(_process_line, lines, repeat(config), repeat(record_fn), repeat(echo))
         for ok, text in outcomes:
@@ -400,6 +432,8 @@ def run(argv=None) -> int:
             return cmd_matrix(args)
         if args.command == "fixtures":
             return cmd_fixtures(args)
+        from .selfcheck import run_selfcheck
+
         return run_selfcheck()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,7 +52,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -502,6 +501,8 @@ def _ngram_gains(ev_keys: list, hyp_keys: list, spec: GainSpec, jobs: int) -> np
     if jobs < 2 or len(blocks) < 2:
         list(map(run, blocks))
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
             list(pool.map(run, blocks))
     return out

@@ -146,18 +146,21 @@ class Instance:
     evidence: tuple[Candidate, ...]
     hypotheses: tuple[Candidate, ...] | None = None
     external_gain: tuple[tuple[float, ...], ...] | None = None
-    # Set by sided_instance. Not an init field, so dataclasses.replace,
-    # which may change a side, drops it; not compared or shown either.
+    # Set by sided_instance or by the first sides() call. Not an init
+    # field, so dataclasses.replace, which may change a side, drops it; not
+    # compared or shown either.
     _sides: tuple[Side, Side] | None = field(default=None, init=False, compare=False, repr=False)
 
     def sides(self) -> tuple[Side, Side]:
         """The evidence and hypothesis Sides, one Side when the hypotheses
         are the evidence (absent or the same sequence): those the parser
-        or :func:`validate_instance` built, or else :func:`interned` ones."""
-        if self._sides is not None:
-            return self._sides
-        evidence, hyps = interned(self.evidence), self.hypotheses
-        return evidence, evidence if hyps is None or hyps is self.evidence else interned(hyps)
+        or :func:`validate_instance` built, or else :func:`interned` ones,
+        kept on the instance so that each is interned and tokenized once."""
+        if self._sides is None:
+            evidence, hyps = interned(self.evidence), self.hypotheses
+            sides = evidence, evidence if hyps is None or hyps is self.evidence else interned(hyps)
+            object.__setattr__(self, "_sides", sides)
+        return self._sides
 
 
 def sided_instance(id: str, evidence: tuple, hypotheses: tuple | None, external_gain: tuple | None,

@@ -705,6 +705,7 @@ class TestDecodeCommand:
         assert ids == [f"i{k:02d}" for k in range(40)]
 
     def test_jobs_pool_has_at_most_one_worker_per_core(self, tmp_path, monkeypatch):
+        from concurrent import futures
         from concurrent.futures import Future
 
         from mbrkit import cli
@@ -728,7 +729,8 @@ class TestDecodeCommand:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        # The pool is imported where it is used, so it is patched at its home.
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         lines = [f'{{"id":"{k}","evidence":[{{"text":"a b"}},{{"text":"b {k}"}}]}}'
                  for k in range(20)]
@@ -759,14 +761,116 @@ class TestDecodeCommand:
                 yield numbered
 
         monkeypatch.setattr(cli, "iter_lines", lazy_lines)
-        lines = [f'{{"id":"{k}","evidence":[{{"text":"a b"}},{{"text":"b"}}]}}' for k in range(50)]
+        # Every line of a batch has one length: short lines fill a task up
+        # to the line cap, and lines of a quarter of the byte budget close
+        # it on bytes.
+        for closes_on, pad in (("lines", ""), ("bytes", "x" * (cli._TASK_BYTES // 4))):
+            line = '{"id":"%05d","evidence":[{"text":"a b"},{"text":"b %s"}]}'
+            by_bytes = -(-cli._TASK_BYTES // len(line % (0, pad)))
+            assert (by_bytes < cli._TASK_LINES) == (closes_on == "bytes")
+            per_task = min(by_bytes, cli._TASK_LINES)
+            bound = cli._WINDOW_PER_JOB * jobs * per_task
+            # Long enough that the bound is reached before the input ends.
+            count = bound + 2 * per_task + 3
+            inp = self.write_input(tmp_path, [line % (k, pad) for k in range(count)])
+            written = 0
+            leads.clear()
+            assert run(["decode", "--jobs", str(jobs), "--input", str(inp)]) == 0
+            written += capsys.readouterr().out.count("\n")
+            assert written == len(leads) == count, closes_on
+            assert max(leads) == bound, closes_on
+
+    def test_jobs_tasks_close_on_bytes_or_lines_with_the_same_output(self, tmp_path):
+        from mbrkit import cli
+
+        # Runs of short lines close tasks on the line cap; runs of lines of
+        # a third of the byte budget close them on bytes.
+        long_text = " ".join(["a b c"] * (cli._TASK_BYTES // 18))
+        lines = []
+        for run_no in range(3):
+            for k in range(cli._TASK_LINES + 40):
+                lines.append(f'{{"id":"s{run_no}-{k}","evidence":[{{"text":"a b"}},'
+                             f'{{"text":"b {k % 7}"}},{{"text":"a b"}}]}}')
+            for k in range(7):
+                lines.append(f'{{"id":"l{run_no}-{k}","evidence":[{{"text":"{long_text}"}},'
+                             f'{{"text":"a {k}"}}]}}')
+        numbered = list(enumerate(lines, start=1))
+        tasks = list(cli._tasks(iter(numbered), cli._TASK_BYTES, cli._TASK_LINES))
+        assert [item for task in tasks for item in task] == numbered
+        sizes = [sum(len(text) for _, text in task) for task in tasks]
+        on_lines = [len(task) == cli._TASK_LINES and size < cli._TASK_BYTES
+                    for task, size in zip(tasks, sizes)]
+        on_bytes = [len(task) < cli._TASK_LINES and size >= cli._TASK_BYTES
+                    for task, size in zip(tasks, sizes)]
+        # Every task but the last, which the end of input closes.
+        assert any(on_lines) and any(on_bytes)
+        assert all(a or b for a, b in zip(on_lines[:-1], on_bytes[:-1]))
         inp = self.write_input(tmp_path, lines)
-        assert run(["decode", "--jobs", str(jobs), "--input", str(inp)]) == 0
-        written += capsys.readouterr().out.count("\n")
-        assert written == len(leads) == 50
-        window = cli._WINDOW_PER_JOB * jobs
-        assert window < 50
-        assert max(leads) == window
+        outputs = {}
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / f"o{jobs}.jsonl"
+            assert run(["decode", "--jobs", jobs, "--input", str(inp), "--output", str(out)]) == 0
+            outputs[jobs] = out.read_bytes()
+        assert outputs["1"] == outputs["2"] == outputs["3"]
+        ids = [json.loads(text)["id"] for text in outputs["1"].decode().splitlines()]
+        assert ids == [json.loads(text)["id"] for text in lines]
+
+    def test_jobs_errors_inside_a_task_keep_their_lines(self, tmp_path, capsys):
+        # Ten short lines are one task: a malformed line and an escaped lone
+        # surrogate in it each fail alone, reported in input order.
+        lines = [f'{{"id":"i{k}","evidence":[{{"text":"a {k}"}},{{"text":"a"}}]}}'
+                 for k in range(10)]
+        lines[3] = '{"id":"i3","evidence":[{"text":"a"}'
+        lines[6] = '{"id":"\\ud800","evidence":[{"text":"a"}]}'
+        inp = self.write_input(tmp_path, lines)
+        runs = {jobs: self.run_captured(capsys, ["decode", "--jobs", jobs, "--input", str(inp)])
+                for jobs in ("1", "2")}
+        assert runs["1"] == runs["2"]
+        code, out, err = runs["2"]
+        assert code == 1
+        assert [json.loads(text)["id"] for text in out.splitlines()] == [
+            f"i{k}" for k in range(10) if k not in (3, 6)]
+        assert [e.split(":", 1)[0] for e in err] == ["line 4", "line 7"]
+        assert err[1].endswith("surrogates not allowed")
+
+    @pytest.mark.parametrize("line_buffering", [True, False])
+    def test_jobs_tasks_are_one_line_for_a_terminal(self, tmp_path, monkeypatch,
+                                                    line_buffering):
+        from concurrent import futures
+        from concurrent.futures import Future
+
+        tasks = []
+
+        class InlinePool:
+            """Records each task's lines and runs it at submit."""
+
+            def __init__(self, max_workers, mp_context=None):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, task, *args):
+                tasks.append(len(task))
+                future = Future()
+                future.set_result(fn(task, *args))
+                return future
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", InlinePool)
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8",
+                                  line_buffering=line_buffering)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        lines = [f'{{"id":"{k}","evidence":[{{"text":"a b"}},{{"text":"b {k}"}}]}}'
+                 for k in range(20)]
+        inp = self.write_input(tmp_path, lines)
+        assert run(["decode", "--jobs", "2", "--input", str(inp)]) == 0
+        expected = tmp_path / "expected.jsonl"
+        assert run(["decode", "--input", str(inp), "--output", str(expected)]) == 0
+        assert stdout.buffer.getvalue() == expected.read_bytes()
+        assert tasks == ([1] * 20 if line_buffering else [20])
 
     def run_captured(self, capsys, argv):
         code = run(argv)
@@ -1313,3 +1417,30 @@ class TestSelfcheckCommand:
         assert run(["selfcheck"]) == 0
         out = capsys.readouterr().out
         assert "10/10 checks passed" in out
+
+
+class TestImportBudget:
+    # A fresh interpreter: which modules a default run loads. The pools and
+    # the selfcheck suite are imported only on the paths that use them.
+    PROBE = """
+import json, sys
+import mbrkit.cli
+deferred = ("multiprocessing", "concurrent.futures", "mbrkit.selfcheck")
+loaded = [[name for name in deferred if name in sys.modules]]
+for jobs, out in (("1", sys.argv[2]), ("2", sys.argv[3])):
+    assert mbrkit.cli.run(["decode", "--jobs", jobs, "--input", sys.argv[1], "--output", out]) == 0
+    loaded.append([name for name in deferred if name in sys.modules])
+print(json.dumps(loaded))
+"""
+
+    def test_default_run_loads_no_pool_module(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(mbrkit.__file__).resolve().parents[1])}
+        one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, str(FIXTURES / "toy.jsonl"),
+                               str(one), str(two)], capture_output=True, env=env, timeout=120,
+                              check=True)
+        after_import, after_jobs_1, after_jobs_2 = json.loads(proc.stdout)
+        assert after_import == after_jobs_1 == []
+        # The probe sees a pool when one is loaded.
+        assert after_jobs_2 == ["multiprocessing", "concurrent.futures"]
+        assert one.read_bytes() == two.read_bytes()

@@ -10,6 +10,7 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
+from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -520,7 +521,7 @@ class TestGainMatrix:
                  (ALL_LIGHT, ALL_LIGHT))
         pools, all_pools, product_threads = [], [], []
 
-        class RecordingPool(metrics.ThreadPoolExecutor):
+        class RecordingPool(futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers)
@@ -531,7 +532,7 @@ class TestGainMatrix:
             product_threads.append(threading.get_ident())
             return matmul(*args, **kwargs)
 
-        monkeypatch.setattr(metrics, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(np, "matmul", recording_matmul)
         for evidence, hypotheses in sides:
             inst = token_instance(evidence, hypotheses)
@@ -574,14 +575,14 @@ class TestGainMatrix:
         # evidence rows, so all orders share the blocks and their pool.
         pools = []
 
-        class RecordingPool(metrics.ThreadPoolExecutor):
+        class RecordingPool(futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
         inst = token_instance(ALL_HEAVY, ALL_HEAVY)
         want = gain_matrix(inst, BLEU4, jobs=1)
-        monkeypatch.setattr(metrics, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(metrics, "_PAIR_CHUNK", 19)
         assert gain_matrix(inst, BLEU4, jobs=3).tobytes() == want.tobytes()
         assert pools == [3]

@@ -22,6 +22,7 @@ from mbrkit import (
     MissingScoreError,
     NonFiniteValueError,
     WeightSpec,
+    compute_weights,
     decode,
     gain_matrix,
     validate_instance,
@@ -406,6 +407,27 @@ class TestSides:
         for gain, weight in self.SPECS:
             assert decode(replaced, gain, weight) == decode(fresh, gain, weight)
             assert np.array_equal(gain_matrix(replaced, gain), gain_matrix(fresh, gain))
+
+    def test_an_api_instance_is_interned_and_tokenized_once(self, monkeypatch):
+        calls = []
+        tokens = metrics.candidate_tokens
+
+        def counted(cand, spec):
+            calls.append(cand.text)
+            return tokens(cand, spec)
+
+        monkeypatch.setattr(metrics, "candidate_tokens", counted)
+        inst = Instance(id="t", evidence=tuple(Candidate(text=t, score=-1.0)
+                                               for t in ("a b", "a b", "c", "a b")))
+        gain_matrix(inst, GainSpec())
+        compute_weights(inst, WeightSpec(kind="length_norm", beta=1.0), GainSpec())
+        assert calls == ["a b", "c"]
+        assert inst.sides() is inst.sides()
+        assert inst == Instance(id="t", evidence=inst.evidence)
+        # replace drops the kept Sides with the side they were built from.
+        shorter = dataclasses.replace(inst, evidence=inst.evidence[2:])
+        assert shorter.sides()[0].distinct == [Candidate(text="c", score=-1.0),
+                                               Candidate(text="a b", score=-1.0)]
 
     def test_validation_is_idempotent_and_keeps_the_sides(self):
         parsed = parse_instance_line(self.LINE, 1)
