@@ -3,10 +3,12 @@
 The core estimator scores each hypothesis by the weighted sum of its
 pairwise gains against the evidence multiset and picks the argmax.
 ``self_consistency`` is decoding with the answer-match gain and uniform
-weights, plus a vote tally. ``range_vote`` (mean utility over a rated
-slate) shares the gain matrix with ``decode`` but reduces it in its own
-loop, so the two reductions check each other rather than being assumed
-to agree.
+weights, plus a vote tally. The expected gains are one reduction over
+the gain table's blocks in sample order (:func:`_table_gains`), which
+``decode`` runs on its table and :func:`expected_gains` on a matrix
+given whole. ``range_vote`` (mean utility over a rated slate) reads the
+same blocks of rows as ``decode`` but sums them in its own loop, so the
+two reductions check each other rather than being assumed to agree.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import replace
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import MbrError, NonFiniteValueError, ShapeMismatchError, with_instance_id
-from .metrics import GainTable, distinct_tokens, gain_matrix, gain_table
+from . import metrics
+from .metrics import GainTable, distinct_tokens, gain_table
 from .types import (
     TIE_BREAKS,
     Candidate,
@@ -35,24 +38,17 @@ from .weighting import WeightVector, compute_weights
 
 TIE_ATOL = 1e-12
 
-# Cells of the E x H_d distinct-column matrix that one block of evidence
-# rows gathers and weighs at once in _table_gains: 256 KB of float64,
-# which a core's cache holds. A line within it is one block, one pass of
-# the block loop.
-_GAIN_BLOCK_CELLS = 1 << 15
-
 
 def expected_gains(matrix: np.ndarray, weights: np.ndarray | WeightVector) -> np.ndarray:
     """Per-hypothesis expected gain: column-wise weighted sum of the matrix.
 
     Computed as an explicit elementwise product followed by an axis sum so
     the floating-point reduction order is fixed, which keeps results
-    bit-identical across worker counts and BLAS builds. On a C-ordered
-    matrix with two or more columns numpy's axis-0 sum adds the rows one
-    by one, in order, which :func:`decode` reproduces block by block over
-    the E x H_d distinct hypothesis columns of the gain table, then
-    gathers to the H hypotheses, without building the matrix. A sum past the
-    float range is +-inf with no warning; :func:`select` rejects it.
+    bit-identical across worker counts and BLAS builds. The sum is
+    :func:`_table_gains` over the matrix as a table whose rows and columns
+    are the samples, the reduction :func:`decode` runs over its gain
+    table. A sum past the float range is +-inf with no warning;
+    :func:`select` rejects it.
     """
     if isinstance(weights, WeightVector):
         weights = weights.weights
@@ -65,47 +61,96 @@ def expected_gains(matrix: np.ndarray, weights: np.ndarray | WeightVector) -> np
             f"weight vector of shape {weights.shape} does not match "
             f"gain matrix of shape {matrix.shape}"
         )
-    return _weighted_sum(matrix, weights)
-
-
-def _weighted_sum(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The reduction of :func:`expected_gains` on checked float arrays."""
-    with np.errstate(over="ignore"):
-        return (weights[:, None] * matrix).sum(axis=0)
+    return _table_gains(GainTable.of(matrix), weights)
 
 
 def _table_gains(table: GainTable, weights: np.ndarray) -> np.ndarray:
-    """:func:`expected_gains` of ``table.matrix()``, bit for bit, from the
-    table's distinct hypothesis columns: E x H_d cells, not E x H.
+    """The expected gains of ``table.matrix()`` under ``weights``: the bytes
+    of ``(weights[:, None] * table.matrix()).sum(axis=0)``, from the
+    table's blocks over its distinct hypothesis columns, E x H_d cells in
+    all and one block of them at a time.
 
-    One loop takes blocks of evidence rows from the table, weighs each in
-    place and sums it, from the second block on with the running sum
-    concatenated in front as its first row, which continues numpy's
-    row-by-row accumulation of every column; a line within the budget is
-    one block, so its sum is :func:`expected_gains`'s expression. The H_d
-    sums are then gathered to the H hypotheses. Numpy sums a lone column
-    pairwise, so one hypothesis (H = 1) keeps the one-block expression at
-    any budget, and a lone distinct column (H_d = 1 < H) is reduced as
-    two copies, which numpy sums row by row as it does the H columns. An
-    external matrix (which may be F-ordered) is reduced as it is. Memory
-    is the table and two blocks, not 16 bytes per pair of samples.
+    On a C-ordered matrix with two or more columns numpy's axis-0 sum adds
+    the rows one by one, in order. So each block of samples
+    (:func:`_sample_blocks`) is weighed and summed, from the second block
+    on with the running sum concatenated in front as its first row, and
+    the H_d sums are then gathered to the H hypotheses; a line within one
+    block takes one pass. A matrix that is
+    not C-contiguous is one block (:meth:`~mbrkit.metrics.GainTable.of`),
+    weighed and summed as it is. Numpy sums a lone column pairwise, so one
+    hypothesis (H = 1) is reduced as the one expression, and a lone
+    distinct column (H_d = 1 < H) as two copies, which numpy sums row by
+    row as it does the H columns. A line without evidence sums to zeros.
     """
-    if table.ev_inv is None:
-        return _weighted_sum(table.table, weights)
-    width = len(table.hyp_inv)
-    if width == 1:
-        return _weighted_sum(table.matrix(), weights)
-    distinct = table.table if table.table.shape[1] > 1 else table.table.take([0, 0], axis=1)
-    step = max(1, _GAIN_BLOCK_CELLS // distinct.shape[1])
-    total = None
+    hyps = table.shape[1] if table.hyp_inv is None else len(table.hyp_inv)
+    lone = table.shape[1] == 1
+    total, first = None, 0
     with np.errstate(over="ignore"):
-        for first in range(0, len(table.ev_inv), step):
-            block = distinct.take(table.ev_inv[first:first + step], axis=0)
-            block *= weights[first:first + step, None]
+        if hyps < 2 or not len(weights):
+            return (weights[:, None] * table.matrix()).sum(axis=0)
+        for part in _sample_blocks(table):
+            if lone:
+                part = part.take([0, 0], axis=1)
+            part = weights[first:first + len(part), None] * part
+            first += len(part)
             if total is not None:
-                block = np.concatenate((total[None], block))
-            total = block.sum(axis=0)
-    return total if table.table.shape[1] == width else total.take(table.hyp_inv)
+                part = np.concatenate((total[None], part))
+            total = part.sum(axis=0)
+    return total if table.shape[1] == hyps else total.take(table.hyp_inv)
+
+
+def _sample_blocks(table: GainTable) -> Iterable[np.ndarray]:
+    """The evidence samples' rows of ``table`` against its distinct
+    hypothesis columns, in blocks in sample order.
+
+    When no evidence sample repeats another (or there are no inverses),
+    these are the table's blocks. Otherwise they are gathered in blocks of
+    ``metrics._PAIR_CHUNK`` cells (of two columns at least), and a line
+    within one such block is one take of the whole table; a longer line's
+    rows are held only while it needs them (:func:`_held_rows`).
+    """
+    ev_inv, (height, width) = table.ev_inv, table.shape
+    if ev_inv is None or len(ev_inv) == height:
+        return table.blocks()
+    step = max(1, metrics._PAIR_CHUNK // max(width, 2))
+    if len(ev_inv) > step:
+        return _held_rows(table, step)
+    rows = table.rows(0, height) if table.step >= height else np.concatenate(list(table.blocks()))
+    return (rows.take(ev_inv, axis=0),)
+
+
+def _held_rows(table: GainTable, step: int) -> Iterator[np.ndarray]:
+    """Blocks of ``step`` samples' rows, each gathered from the rows of
+    ``table`` made so far. Rows come in order of first occurrence, so a
+    block needs only the rows below its largest id: rows are made as they
+    are needed, held until their last sample, and then dropped, their
+    slots taken by rows made later. Block k of samples holds at most the
+    rows first read by its end, less those last read before it, plus one
+    block of rows made ahead; the buffer is the most of these, found
+    before any row is made. So it is a block or two when few rows recur,
+    and the table only when every row recurs at the end.
+    """
+    (height, width), ev_inv, blocks = table.shape, table.ev_inv, table.blocks()
+    samples = len(ev_inv)
+    last = np.zeros(height, dtype=np.intp)  # each row's last sample
+    np.maximum.at(last, ev_inv, np.arange(samples))
+    done = last // step  # the block of samples after which each row is dropped
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(done))))
+    ends = np.minimum(np.arange(step, samples + step, step), samples) - 1
+    read = np.maximum.accumulate(ev_inv)[ends] + 1  # rows first read by each block's end
+    held = np.empty((min(height, int((read - bounds[:-1]).max()) + table.step), width))
+    free, slot, made = np.arange(len(held)), np.zeros(height, dtype=np.intp), 0
+    by_done = metrics._stable_order(done)  # the rows in the order they are dropped
+    for k, first in enumerate(range(0, samples, step)):
+        ids = ev_inv[first:first + step]
+        while made <= ids.max():
+            block = next(blocks)
+            kept = len(free) - len(block)
+            slot[made:made + len(block)], free = free[kept:], free[:kept]
+            held[slot[made:made + len(block)]] = block
+            made += len(block)
+        yield held.take(slot[ids], axis=0)
+        free = np.concatenate((free, slot[by_done[bounds[k]:bounds[k + 1]]]))
 
 
 def select(
@@ -161,7 +206,8 @@ def _decode_validated(
     inst: Instance, gain_spec: GainSpec, weight_spec: WeightSpec, tie_break: str
 ) -> DecodeResult:
     """The pipeline after validation, on an instance already validated:
-    one gain table, reduced without the per-sample matrix. The length
+    one gain table, reduced block by block, with neither the per-sample
+    matrix nor the whole table held. The length
     weights and the ``longest`` tie rule read token counts from the
     instance's Sides, which keep what the table or dedup tokenized, so
     each distinct candidate of a side is tokenized at most once."""
@@ -236,20 +282,25 @@ def range_vote(
 
     Each evidence candidate rates every hypothesis with the gain function
     and each hypothesis receives its mean rating. The ratings are the
-    rows of the same gain matrix ``decode`` uses; totals accumulate over
-    them in a plain Python loop, in evidence order, deliberately not
-    sharing the weighted reduction of :func:`expected_gains`, so the two
-    routes check each other.
+    rows of the gain table ``decode`` uses, read block by block over its
+    distinct hypothesis columns (:func:`_sample_blocks`);
+    totals accumulate over them in a plain Python loop, in evidence
+    order, deliberately not sharing the weighted reduction of
+    :func:`expected_gains`, so the two routes check each other, and are
+    then gathered to the hypotheses.
     """
     gain_spec = gain_spec if gain_spec is not None else GainSpec()
     try:
         inst = validate_instance(inst, gain_spec, WeightSpec(), dedup_hypotheses)
         n = len(inst.evidence)
-        totals = [0.0] * len(inst.hypotheses)
-        for row in gain_matrix(inst, gain_spec).tolist():
-            for j, rating in enumerate(row):
-                totals[j] += rating
-        means = np.array([t / n for t in totals])
+        table = gain_table(inst, gain_spec)
+        totals = [0.0] * table.shape[1]
+        for block in _sample_blocks(table):
+            for row in block.tolist():
+                for j, rating in enumerate(row):
+                    totals[j] += rating
+        columns = range(len(totals)) if table.hyp_inv is None else table.hyp_inv.tolist()
+        means = np.array([totals[k] / n for k in columns])
         index, tie_broken = select(means, inst.hypotheses, tie_break, gain_spec, inst.sides()[1])
     except MbrError as exc:
         raise with_instance_id(exc, inst.id) from exc

@@ -2,8 +2,10 @@
 
 Every gain maps an (evidence, hypothesis) candidate pair into [0, 1].
 :func:`gain_table` holds the only implementation of each gain, batched
-over all pairs of an instance's distinct candidates; :func:`gain_matrix`
-is its per-sample gather and :func:`pair_gain` the 1x1 case. The gains
+over all pairs of an instance's distinct candidates and made in blocks
+of distinct evidence rows; :func:`gain_matrix` is its blocks put
+together and gathered to the samples, and :func:`pair_gain` the 1x1
+case. The gains
 come in three families: ``external`` passes through a matrix the
 instance carries; key match is 1 iff two keys are equal, the stripped
 answer for ``answer_match`` (self-consistency) or the token sequence
@@ -14,11 +16,11 @@ interned on one key, the stripped answer for ``answer_match`` and else
 the token sequence, found once per distinct candidate of the side's
 :class:`~mbrkit.types.Side`; a table is built once per pair of
 distinct keys.
-The table, the two inverses and the token sequences form one
-:class:`GainTable`, from which the decoder also takes its length
-weights and tie lengths and reduces the expected gains over the
-distinct hypothesis columns, gathering only their sums back to the
-hypothesis samples.
+The block producer and the two inverses form one :class:`GainTable`,
+whose blocks the decoder reduces in sample order to the expected gains
+over the distinct hypothesis columns, holding each distinct row only
+until its last sample and gathering only the sums back to the
+hypothesis samples; no layer holds a line's whole table.
 The n-gram overlap kernel is defined in its signed-difference form,
 
     K(y, y') = 1 - |T(y) - T(y')|_1 / (|T(y)|_1 + |T(y')|_1)
@@ -53,7 +55,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -165,12 +167,16 @@ def _order_counters(tokens: tuple[str, ...], max_order: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-# Entries that one block of evidence rows expands at once, summed over every
-# order: its light posting pairs, its dense level factor and its output cells
-# (or one row), and a span of the hypothesis level factor. On a 1000x1000
-# matrix of 30-token rows over 20 words, one call peaks at 19.7 MB for BLEU-4
-# and 13.0 MB for ROUGE-1 with jobs=1, and 27.9 and 23.5 MB with jobs=8,
-# eight blocks in flight; the 8 MB output is part of each.
+# The one block budget. An n-gram block of evidence rows expands at most
+# this many entries at once, summed over every order: its light posting
+# pairs, its dense level factor and its output cells (or one row), and a
+# span of the hypothesis level factor. A key-match block, a block of a held
+# matrix and a block of samples' rows gathered for the reduction hold at
+# most this many cells (or one row): 512 KB. On a 1000x1000 matrix of
+# 30-token rows over 20 words, one gain_matrix call peaks at 15.5 MB for
+# BLEU-4 and 10.8 MB for ROUGE-1 with jobs=1, and 22.7 and 21.3 MB with
+# jobs=8, eight blocks in flight; the 8 MB output is part of each. Decoding
+# that line peaks at 12.4 and 3.3 MB.
 _PAIR_CHUNK = 1 << 16
 
 _Postings = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -464,18 +470,18 @@ def _bleu_finish(ref_lens: np.ndarray, hyp_lens: np.ndarray, correct: np.ndarray
     return score
 
 
-def _ngram_gains(ev_keys: list, hyp_keys: list, spec: GainSpec, jobs: int) -> np.ndarray:
-    """ROUGE or BLEU gains of every pair of distinct token sequences; when
-    ``hyp_keys`` is ``ev_keys``, each sequence is counted once.
+def _ngram_gains(ev_keys: list, hyp_keys: list, spec: GainSpec) -> tuple[int, Callable]:
+    """ROUGE or BLEU gains of every pair of distinct token sequences, as
+    the rows per block and ``rows(first, stop)``, which fills the clipped
+    matches of every order for evidence rows ``first:stop`` and finishes
+    them; when ``hyp_keys`` is ``ev_keys``, each sequence is counted once.
 
     One set of postings and one join cover every order (ROUGE's order n
-    only). A block of ``_PAIR_CHUNK // (largest row cost)`` evidence rows,
-    or one row, fills the clipped matches of every order and is finished
-    into its output rows; with ``jobs`` > 1 the blocks run on one thread
-    pool. No sequence has a gram of an order past the longest sequence on
-    either side, so no such order is built: at that ROUGE order every pair
-    has two empty count vectors and gains 1.0, and such a BLEU order adds
-    log 1 == 0.0 to every cell.
+    only). A block is ``_PAIR_CHUNK // (largest row cost)`` evidence rows,
+    or one row. No sequence has a gram of an order past the longest
+    sequence on either side, so no such order is built: at that ROUGE
+    order every pair has two empty count vectors and gains 1.0, and such a
+    BLEU order adds log 1 == 0.0 to every cell.
     """
     shared = hyp_keys is ev_keys
     height, width = len(ev_keys), len(hyp_keys)
@@ -485,112 +491,142 @@ def _ngram_gains(ev_keys: list, hyp_keys: list, spec: GainSpec, jobs: int) -> np
     rouge = spec.kind == "rouge_n_kernel"
     top = spec.n if rouge else spec.max_order
     if rouge and top > longest:
-        return np.ones((height, width))
+        return (max(1, _PAIR_CHUNK // max(width, 1)),
+                lambda first, stop: np.ones((min(stop, height) - first, width)))
     orders = range(top, top + 1) if rouge else range(1, max(1, min(top, longest)) + 1)
     finish = _rouge_finish if rouge else _bleu_finish
     ev, hyp, bounds = _ngram_postings(ev_keys, hyp_keys, orders)
     cost, fill = _clipped_matches(ev, hyp, height, width, bounds)
-    step = max(1, _PAIR_CHUNK // int(cost.max(initial=1)))
-    out = np.empty((height, width), dtype=np.float64)
-
-    def run(first: int) -> None:
-        stop = min(first + step, height)
-        out[first:stop] = finish(ev_lens[first:stop], hyp_lens, fill(first, stop), top)
-
-    blocks = range(0, height, step)
-    if jobs < 2 or len(blocks) < 2:
-        list(map(run, blocks))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
-            list(pool.map(run, blocks))
-    return out
+    return (max(1, _PAIR_CHUNK // int(cost.max(initial=1))),
+            lambda first, stop: finish(ev_lens[first:stop], hyp_lens,
+                                       fill(first, min(stop, height)), top))
 
 
 class GainTable(NamedTuple):
-    """The gains of one instance as a table over its distinct keys.
+    """The gains of one instance over its distinct keys, made in blocks of
+    distinct evidence rows and never held whole.
 
-    ``table[ev_inv[i], hyp_inv[j]]`` is G(evidence_i, hypothesis_j). Rows
-    and columns are each side's distinct keys in order of first occurrence,
-    so a side without a repeated key has the identity inverse and its rows
-    (or columns) are already in sample order; an external matrix has no
-    inverses and is the per-sample matrix itself. ``ev_tokens`` and
-    ``hyp_tokens`` are each side's keys as :func:`distinct_tokens` returns
-    them, for the gains that key on token sequences, and None for
-    ``answer_match`` (keyed on stripped answers) and ``external``.
+    ``rows(first, stop)`` makes the finished gains of distinct evidence
+    rows ``first:stop`` (``stop`` may pass the last row) against every
+    distinct hypothesis column, and :meth:`blocks` calls it ``step`` rows
+    at a time, in order; ``shape`` is the (rows, columns) of the table
+    they make up. G(evidence_i, hypothesis_j) is its cell ``(ev_inv[i],
+    hyp_inv[j])``. Rows and columns are each side's distinct keys in order
+    of first occurrence, so a side without a repeated key has the identity
+    inverse and its rows (or columns) are already in sample order; an
+    external matrix has no inverses and is the per-sample matrix itself,
+    in one block. The token sequences a table keys on stay on the
+    instance's Sides (:func:`distinct_tokens`).
     """
 
-    table: np.ndarray
+    shape: tuple[int, int]
+    step: int
+    rows: Callable[[int, int], np.ndarray]
     ev_inv: np.ndarray | None = None
     hyp_inv: np.ndarray | None = None
-    ev_tokens: tuple[list, np.ndarray] | None = None
-    hyp_tokens: tuple[list, np.ndarray] | None = None
 
-    def matrix(self) -> np.ndarray:
-        """The per-sample gain matrix in C order. Columns are gathered
-        first: the row take then copies whole rows."""
+    @classmethod
+    def of(cls, matrix: np.ndarray, ev_inv: np.ndarray | None = None,
+           hyp_inv: np.ndarray | None = None) -> GainTable:
+        """The table of a matrix already held, in views of ``_PAIR_CHUNK``
+        cells of its rows; a matrix that is not C-contiguous is one block,
+        which numpy sums pairwise, not row by row."""
+        step = _PAIR_CHUNK // max(matrix.shape[1], 1) if matrix.flags.c_contiguous else len(matrix)
+        return cls(matrix.shape, max(1, step), lambda first, stop: matrix[first:stop],
+                   ev_inv, hyp_inv)
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The table's blocks of rows, in order."""
+        height, step = self.shape[0], self.step
+        return map(self.rows, range(0, height, step), range(step, height + step, step))
+
+    def matrix(self, jobs: int = 1) -> np.ndarray:
+        """The per-sample gain matrix in C order: the blocks put together,
+        with ``jobs`` > 1 made on one thread pool, then its columns
+        gathered, then its rows, so the row take copies whole rows."""
+        table = np.empty(self.shape)
+
+        def put(first: int) -> None:
+            table[first:first + self.step] = self.rows(first, first + self.step)
+
+        starts = range(0, self.shape[0], self.step)
+        if jobs < 2 or len(starts) < 2:
+            list(map(put, starts))
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=min(jobs, len(starts))) as pool:
+                list(pool.map(put, starts))
         if self.ev_inv is None:
-            return self.table
-        cols = self.table
-        if len(self.hyp_inv) != cols.shape[1]:
-            cols = cols.take(self.hyp_inv, axis=1)
-        return cols if len(self.ev_inv) == len(cols) else cols.take(self.ev_inv, axis=0)
+            return table
+        if len(self.hyp_inv) != table.shape[1]:
+            table = table.take(self.hyp_inv, axis=1)
+        return table if len(self.ev_inv) == len(table) else table.take(self.ev_inv, axis=0)
 
 
-def gain_table(inst: Instance, spec: GainSpec, jobs: int = 1) -> GainTable:
+def gain_table(inst: Instance, spec: GainSpec) -> GainTable:
     """The instance's gains over its distinct keys, each side interned once.
 
-    ``external`` holds the instance's matrix as is. Every other gain
-    keys each side's Side (:meth:`~mbrkit.types.Instance.sides`) in one
-    step, on the stripped answer for ``answer_match`` and on the token
+    ``external`` is one block, the instance's matrix. Every other
+    gain keys each side's Side (:meth:`~mbrkit.types.Instance.sides`) in
+    one step, on the stripped answer for ``answer_match`` and on the token
     sequence of :func:`distinct_tokens` otherwise, each found once per
-    distinct candidate, and builds the table in one more. Key match is the
-    identity when the sides are shared and one ``np.equal.outer`` of the
-    keys' evidence rows otherwise. The n-gram gains, ``rouge_n_kernel``
-    and ``sentence_bleu``, run once per pair of distinct sequences; the
-    postings of both sides come from one :func:`_ngram_postings` call, one
-    join covers every order, and ``jobs`` > 1 runs the blocks of evidence
-    rows, each filled and finished, on one thread pool.
-    Every cell is a function of its pair's keys alone and the join's sums
-    are exact integers, so the gathered table is the per-sample table bit
-    for bit, whatever ``jobs``. When the hypotheses are the evidence
-    (absent, or the same tuple, as :func:`mbrkit.types.validate_instance`
-    leaves them), one Side, its keys and postings serve both.
+    distinct candidate. Key match makes each block as rows of the
+    identity when the sides are shared, and else by one ``np.equal.outer``
+    of the row ids against each column's row. (A shared line, such as a
+    vote, thus runs no integer comparison and cast, whose numpy code
+    raised a vote-batch run's peak RSS by 0.6 MB.) The n-gram gains,
+    ``rouge_n_kernel`` and ``sentence_bleu``, run once per pair of
+    distinct sequences; the postings of both sides come from one
+    :func:`_ngram_postings` call and one join covers every order, here,
+    and each block is then filled and finished when it is made. Every
+    cell is a function of its pair's keys alone and the join's sums are
+    exact integers, so the blocks make the per-sample table bit for bit,
+    however they are cut and whichever thread makes them. When the
+    hypotheses are the evidence (absent, or the same tuple, as
+    :func:`mbrkit.types.validate_instance` leaves them), one Side, its
+    keys and postings serve both.
     """
     if spec.kind == "external":
-        return GainTable(np.asarray(require_external_gain(inst, spec), dtype=np.float64))
+        matrix = np.asarray(require_external_gain(inst, spec), dtype=np.float64)
+        return GainTable(matrix.shape, max(1, len(matrix)), lambda first, stop: matrix[first:stop])
 
     ev_side, hyp_side = inst.sides()
     shared = hyp_side is ev_side
     if spec.kind == "answer_match":
-        ev_tokens = hyp_tokens = None
         ev_keys, ev_inv = _distinct_answers(ev_side, "evidence")
         hyp_keys, hyp_inv = (ev_keys, ev_inv) if shared else _distinct_answers(hyp_side, "hypotheses")
     else:
-        ev_tokens, hyp_tokens = distinct_tokens(ev_side, spec), distinct_tokens(hyp_side, spec)
-        (ev_keys, ev_inv), (hyp_keys, hyp_inv) = ev_tokens, hyp_tokens
+        (ev_keys, ev_inv), (hyp_keys, hyp_inv) = (distinct_tokens(ev_side, spec),
+                                                  distinct_tokens(hyp_side, spec))
     if spec.kind not in ("exact_match", "answer_match"):
-        table = _ngram_gains(ev_keys, hyp_keys, spec, jobs)
-    elif shared:
-        table = np.eye(len(ev_keys))
+        step, rows = _ngram_gains(ev_keys, hyp_keys, spec)
     else:
-        row_of = {k: i for i, k in enumerate(ev_keys)}
-        rows = np.array([row_of.get(k, -1) for k in hyp_keys])
-        table = np.equal.outer(np.arange(len(ev_keys)), rows).astype(np.float64)
-    return GainTable(table, ev_inv, hyp_inv, ev_tokens, hyp_tokens)
+        height, width = len(ev_keys), len(hyp_keys)
+        step = max(1, _PAIR_CHUNK // max(width, 1))
+        if not shared:
+            row_of = {k: i for i, k in enumerate(ev_keys)}
+            cols = np.array([row_of.get(k, -1) for k in hyp_keys])
+
+        def rows(first: int, stop: int) -> np.ndarray:
+            stop = min(stop, height)
+            if shared:  # the identity's rows
+                return np.eye(stop - first, width, first)
+            return np.equal.outer(np.arange(first, stop), cols).astype(np.float64)
+
+    return GainTable((len(ev_keys), len(hyp_keys)), step, rows, ev_inv, hyp_inv)
 
 
 def gain_matrix(inst: Instance, spec: GainSpec, jobs: int = 1) -> np.ndarray:
     """Pairwise gain matrix: entry (i, j) = G(evidence_i, hypothesis_j).
 
-    The per-sample gather of :func:`gain_table`, which holds the only
-    implementation of each gain; ``external`` returns the instance's
-    matrix as is. It costs 8 bytes per pair of samples, so
-    :func:`mbrkit.decoder.decode` reduces large instances from the table
-    instead.
+    The blocks of :func:`gain_table`, which holds the only implementation
+    of each gain, put together and gathered to the samples, C-ordered;
+    ``jobs`` > 1 makes the blocks on that many threads. It costs 8 bytes
+    per pair of samples, so :func:`mbrkit.decoder.decode` reduces the
+    table's blocks one at a time instead.
     """
-    return gain_table(inst, spec, jobs).matrix()
+    return gain_table(inst, spec).matrix(jobs)
 
 
 def pair_gain(y: Candidate, y_prime: Candidate, spec: GainSpec) -> float:

@@ -9,6 +9,7 @@ batch here in process through the CLI and through the harness's passes.
 import hashlib
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -90,7 +91,7 @@ def test_trace_passes_give_the_cli_output(tmp_path, harness, name, lines):
     checked = [types.validate_instance(parse_instance_line(raw, no), config.gain,
                                        config.weighting, config.dedup_hypotheses)
                for no, raw in enumerate(batch.read_text(encoding="utf-8").splitlines(), 1)]
-    cells = sum(metrics.gain_table(inst, config.gain).table.size for inst in checked)
+    cells = sum(math.prod(metrics.gain_table(inst, config.gain).shape) for inst in checked)
     assert cells == shape["metrics.distinct_gain_cells"]
 
 

@@ -1,5 +1,6 @@
 """Tests for JSONL parsing/serialization and the command-line interface."""
 
+import hashlib
 import io
 import json
 import math
@@ -1386,6 +1387,56 @@ class TestMatrixCommand:
         record = json.loads(out.read_text())
         assert record["gain_matrix"] == [[0.25, 0.5], [0.125, 1.0]]
 
+    # SHA-256 of `mbrkit matrix` stdout, pinned before the gain table was
+    # made in blocks of rows, with and without --dedup-hypotheses.
+    TOY_DIGESTS = {
+        ("exact",): ("efdf28cf06b28bbde2eab2d9e60ca30e8ceb3f483f62a23f56274745b0abd335",
+                     "4855100ac893f22c25ed3a43be1d25ab89c2f621358a31edd853121bce1d25ba"),
+        ("answer",): ("7778a3764d36c8d4ef6d7049f741ce00ff8d1f04aa6a0caf441ad5fef0a65b56",
+                      "03faf2e67536244f7eee94e82c9d60be0204182779e626ab9f8576a6b66a0fa0"),
+        ("rouge", "--ngram", "1"): (
+            "a0c5e39c5272b93f4c4abfd74d1589d3108a941e1de8c531023df7b23b5e4502",
+            "bd216e0e0a2cf58bb27a8be6dd344c02e0dd8f7a256172dee86fcf1a35dde5f3"),
+        ("rouge", "--ngram", "2"): (
+            "e132dd5daedb406c4d431f38a900d5f3a7074e4cb7f6856e8816a4199a439223",
+            "c5ef12c809fc2f4cdf8a8d92310255049a04e253006638ae9dda5e1bb4725697"),
+        ("bleu",): ("d3bd360caaea550909147a94fc037747a63d865b5e48b6b83414ad345aa9728c",
+                    "47573aafe1a5ea13b2476b720af2d9e258ce8582e8b6d25189265e224b419faa"),
+    }
+    # One external line, and one whose rows hold 0.0 and -0.0.
+    EXTERNAL_LINES = (
+        '{"id":"ext","evidence":[{"text":"a"},{"text":"a"},{"text":"b"}],'
+        '"hypotheses":[{"text":"x"},{"text":"y"}],'
+        '"external_gain":[[0.25,0.5],[1e-300,0.125],[0.30000000000000004,0.7]]}\n'
+        '{"id":"signed-zero","evidence":[{"text":"a"},{"text":"b"},{"text":"c"}],'
+        '"hypotheses":[{"text":"x"},{"text":"y"}],'
+        '"external_gain":[[0.0,-0.0],[-0.0,0.0],[0.5,-0.0]]}\n'
+    )
+    EXTERNAL_DIGESTS = ("10bf2aeec6d362ec438b48923d701d032e3a9a47f638be0f2f6f7bcf94cd821c",
+                        "aa6360f8fab65ed9e8cc2cdd5b3ad55af04ab727e09402354d384ba1ecfa8d02")
+
+    @staticmethod
+    def digest(tmp_path, inp, flags) -> str:
+        out = tmp_path / "out.jsonl"
+        assert run(["matrix", *flags, "--input", str(inp), "--output", str(out)]) == 0
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("dedup", [False, True], ids=["all", "dedup"])
+    @pytest.mark.parametrize("metric", sorted(TOY_DIGESTS), ids=" ".join)
+    def test_toy_output_is_pinned(self, tmp_path, metric, dedup):
+        flags = ["--metric", *metric] + ["--dedup-hypotheses"] * dedup
+        digest = self.digest(tmp_path, FIXTURES / "toy.jsonl", flags)
+        assert digest == self.TOY_DIGESTS[metric][dedup]
+
+    @pytest.mark.parametrize("dedup", [False, True], ids=["all", "dedup"])
+    def test_external_output_is_pinned(self, tmp_path, dedup):
+        inp = tmp_path / "in.jsonl"
+        inp.write_text(self.EXTERNAL_LINES, encoding="utf-8")
+        flags = ["--metric", "external"] + ["--dedup-hypotheses"] * dedup
+        assert self.digest(tmp_path, inp, flags) == self.EXTERNAL_DIGESTS[dedup]
+        if not dedup:
+            signed_zeros = b'"gain_matrix":[[0,-0],[-0,0],[0.5,-0]]'
+            assert signed_zeros in (tmp_path / "out.jsonl").read_bytes()
 
     def test_line_error_keeps_its_class(self, tmp_path, capsys):
         inst = Instance(id="x", evidence=(Candidate(text="a", answer="1"), Candidate(text="b")))

@@ -73,6 +73,59 @@ class TestExpectedGains:
         with pytest.raises(ShapeMismatchError):
             expected_gains(np.ones(3), np.ones(3) / 3)
 
+    @staticmethod
+    def pinned(matrix, weights):
+        """The expression expected_gains keeps the bytes of, on any layout."""
+        return (weights[:, None] * matrix).sum(axis=0)
+
+    @pytest.mark.parametrize("budget", [1, 19, 1 << 16])
+    def test_every_layout_keeps_the_bytes_of_the_expression(self, monkeypatch, budget):
+        # C-ordered matrices are reduced in blocks of rows; F-ordered ones
+        # and strided views, which numpy sums pairwise, as one block.
+        monkeypatch.setattr(metrics, "_PAIR_CHUNK", budget)
+        rng = np.random.default_rng(2701 + budget)
+        f_differs = 0
+        for _ in range(40):
+            height, width = int(rng.integers(1, 700)), int(rng.integers(1, 40))
+            big = rng.random((2 * height, 3 * width)) * 10.0 ** rng.integers(
+                -3, 4, size=(2 * height, 3 * width))
+            c_matrix = np.ascontiguousarray(big[:height, :width])
+            weights = rng.random(height) * 10.0 ** rng.integers(-5, 1, size=height)
+            layouts = (c_matrix, np.asfortranarray(c_matrix), big[::2, ::3],
+                       big[:height, 1:width + 1], c_matrix[:, :1],
+                       np.asfortranarray(c_matrix[:, :1]))
+            for matrix in layouts:
+                sample_weights = weights[:len(matrix)]
+                got = expected_gains(matrix, sample_weights)
+                assert got.tobytes() == self.pinned(matrix, sample_weights).tobytes(), \
+                    (height, width, matrix.flags.c_contiguous)
+            f_differs += (self.pinned(layouts[1], weights).tobytes()
+                          != self.pinned(c_matrix, weights).tobytes())
+        assert f_differs > 0  # so the F-ordered case is not the C-ordered one
+
+    def test_one_distinct_column_through_the_gain_table(self, monkeypatch):
+        # H_d = 1 < H: every hypothesis is one candidate.
+        monkeypatch.setattr(metrics, "_PAIR_CHUNK", 7)
+        rng = np.random.default_rng(2702)
+        for spec in (ROUGE1, EXACT, GainSpec(kind="sentence_bleu")):
+            for n_evidence in (1, 5, 40, 300):
+                inst = random_instance(rng, n_evidence, 1)
+                inst = replace(inst, hypotheses=inst.hypotheses * 9)
+                table = metrics.gain_table(validate_instance(inst, spec, UNIFORM), spec)
+                assert table.shape[1] == 1 and len(table.hyp_inv) == 9
+                weights = rng.random(n_evidence)
+                want = self.pinned(table.matrix(), weights)
+                assert decoder._table_gains(table, weights).tobytes() == want.tobytes()
+
+    def test_no_evidence_rows_give_zeros(self):
+        for width in (1, 2, 5):
+            want = np.zeros(width)
+            assert expected_gains(np.zeros((0, width)), np.zeros(0)).tobytes() == want.tobytes()
+            assert expected_gains(np.zeros((width, 0)).T, np.zeros(0)).tobytes() == want.tobytes()
+            table = GainTable.of(np.zeros((0, 3)), np.zeros(0, dtype=np.intp),
+                                 np.arange(width) % 3)
+            assert decoder._table_gains(table, np.zeros(0)).tobytes() == want.tobytes()
+
 
 def first_occurrence(raw):
     """``raw`` renumbered in order of first occurrence, as the gain table
@@ -107,12 +160,13 @@ class TestTableReduction:
         table = table[: ev_inv.max() + 1, : hyp_inv.max() + 1]
         weights = rng.random(height) * 10.0 ** rng.integers(-5, 1, size=height)
         weights /= weights.sum()
-        return GainTable(table, ev_inv, hyp_inv), weights
+        return table, ev_inv, hyp_inv, weights
 
     def check(self, rng, height, width, distinct_rows, distinct_cols):
-        gt, weights = self.random_case(rng, height, width, distinct_rows, distinct_cols)
-        want = today_gains(gt.table, gt.ev_inv, gt.hyp_inv, weights)
-        got = decoder._table_gains(gt, weights)
+        table, ev_inv, hyp_inv, weights = self.random_case(rng, height, width, distinct_rows,
+                                                            distinct_cols)
+        want = today_gains(table, ev_inv, hyp_inv, weights)
+        got = decoder._table_gains(GainTable.of(table, ev_inv, hyp_inv), weights)
         assert got.tobytes() == want.tobytes(), (height, width, distinct_rows, distinct_cols)
 
     def test_random_shapes_at_the_module_budget(self):
@@ -127,7 +181,7 @@ class TestTableReduction:
 
     @pytest.mark.parametrize("budget", [1, 2, 7, 64, 1000])
     def test_small_budgets_down_to_one_row_blocks(self, monkeypatch, budget):
-        monkeypatch.setattr(decoder, "_GAIN_BLOCK_CELLS", budget)
+        monkeypatch.setattr(metrics, "_PAIR_CHUNK", budget)
         rng = np.random.default_rng(1602 + budget)
         for _ in range(40):
             height = int(rng.integers(1, 300))
@@ -143,7 +197,7 @@ class TestTableReduction:
         # A few distinct columns gathered to many hypotheses: the reduction
         # runs over the E x H_d distinct columns, one row per block at
         # budget 1, and gathers the sums to the hypotheses.
-        monkeypatch.setattr(decoder, "_GAIN_BLOCK_CELLS", budget)
+        monkeypatch.setattr(metrics, "_PAIR_CHUNK", budget)
         rng = np.random.default_rng(1606 + budget)
         for _ in range(30 if budget > 1 else 10):
             height = int(rng.integers(1, 4097 if budget > 1 else 600))
@@ -156,7 +210,7 @@ class TestTableReduction:
     def test_one_distinct_column_of_many_hypotheses(self, monkeypatch, budget):
         # H_d = 1 < H: numpy would sum the lone distinct column pairwise,
         # but sums the H gathered columns row by row, as two copies are.
-        monkeypatch.setattr(decoder, "_GAIN_BLOCK_CELLS", budget)
+        monkeypatch.setattr(metrics, "_PAIR_CHUNK", budget)
         rng = np.random.default_rng(1607 + budget)
         for height in (1, 2, 9, 17, 300, 1000, 4096):
             for width in (2, 3, 64):
@@ -167,21 +221,21 @@ class TestTableReduction:
     def test_one_hypothesis_is_one_block(self, monkeypatch, budget):
         # numpy sums a lone column pairwise, which a row-blocked sum would
         # not reproduce, so H = 1 keeps today's expression at any budget.
-        monkeypatch.setattr(decoder, "_GAIN_BLOCK_CELLS", budget)
+        monkeypatch.setattr(metrics, "_PAIR_CHUNK", budget)
         rng = np.random.default_rng(1603)
         for height in (1, 2, 17, 1000, 4096):
             self.check(rng, height, 1, 6, 1)
             self.check(rng, height, 1, height, 1)
 
     def test_external_f_ordered_matrix_stays_one_block(self, monkeypatch):
-        monkeypatch.setattr(decoder, "_GAIN_BLOCK_CELLS", 1)
+        monkeypatch.setattr(metrics, "_PAIR_CHUNK", 1)
         rng = np.random.default_rng(1604)
         for height, width in ((100, 16), (4096, 5), (33, 300)):
             matrix = np.asfortranarray(rng.random((height, width)) * 10.0 ** rng.integers(
                 -3, 4, size=(height, width)))
             weights = rng.random(height)
             weights /= weights.sum()
-            got = decoder._table_gains(GainTable(matrix), weights)
+            got = decoder._table_gains(GainTable.of(matrix), weights)
             assert got.tobytes() == (weights[:, None] * matrix).sum(axis=0).tobytes()
 
     @pytest.mark.parametrize("spec", [ROUGE1, EXACT, GainSpec(kind="answer_match"),
@@ -190,7 +244,7 @@ class TestTableReduction:
     def test_decode_equals_the_gathered_matrix(self, monkeypatch, spec):
         # The public route (gain_matrix, then expected_gains) and decode's
         # blocked route give the same bytes, with and without duplicates.
-        monkeypatch.setattr(decoder, "_GAIN_BLOCK_CELLS", 50)
+        monkeypatch.setattr(metrics, "_PAIR_CHUNK", 50)
         rng = np.random.default_rng(1605)
         weight = WeightSpec(kind="length_norm", beta=0.7)
         cases = [random_instance(rng, n_evidence, n_hypotheses)
@@ -228,6 +282,61 @@ class TestTableReduction:
             tracemalloc.stop()
         assert result.selected_text == texts[0]
         assert peak < 16 * 2**20, peak
+
+    @pytest.mark.parametrize("spec, twice",
+                             [(ROUGE1, False), (GainSpec(kind="sentence_bleu"), False),
+                              (EXACT, False), (ROUGE1, True)],
+                             ids=["rouge", "bleu", "exact", "rouge-each-twice"])
+    def test_distinct_line_memory_is_linear(self, spec, twice):
+        # One line of n distinct 12-token samples: no table of 8 n^2 bytes
+        # is held, so the peak doubles with the line. Holding the table
+        # peaked at 37, 42 and 34 MB at n = 2000, 3.0-3.7x the peak at 1000.
+        # With each sample twice in a row, the rows of each block of samples
+        # are gathered from those made so far, and each row is dropped
+        # after its second sample.
+        rng = np.random.default_rng(2703)
+        words = [f"w{i}" for i in range(200)]
+        peaks = []
+        for n in (1000, 2000):
+            cands = [Candidate(text="", tokens=tuple(words[i]
+                                                     for i in rng.integers(0, 200, size=12)))
+                     for _ in range(n)]
+            evidence = tuple(c for c in cands for _ in range(1 + twice))
+            inst = validate_instance(Instance(id="wide", evidence=evidence), spec, UNIFORM)
+            tracemalloc.start()
+            try:
+                decode(inst, spec, UNIFORM)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2.5 * peaks[0], peaks
+        assert peaks[1] < 8 * 2000**2 / 2, peaks
+
+    def test_rows_are_held_only_while_they_are_read(self):
+        # 1500 distinct 12-token samples, an 18 MB table. Read twice over,
+        # every row recurs at the end and the table is held once (1.22x its
+        # size in all when it was held whole, 3x when a growing buffer was
+        # copied); with a mode read all through the line, the mode's row
+        # and a block of the others are held (1.22x when held whole).
+        rng = np.random.default_rng(2705)
+        words = [f"w{i}" for i in range(200)]
+        cands = [Candidate(text="", tokens=tuple(words[i]
+                                                 for i in rng.integers(0, 200, size=12)))
+                 for _ in range(1500)]
+        table = 8 * 1500**2
+        mode = [c for single in cands[1:] for c in (cands[0], single)]
+        for evidence, bound in ((cands + cands, 1.4 * table), (mode, table / 2)):
+            inst = validate_instance(Instance(id="r", evidence=tuple(evidence)), ROUGE1, UNIFORM)
+            uniform = np.full(len(evidence), 1 / len(evidence))
+            want = expected_gains(gain_matrix(inst, ROUGE1), uniform)
+            tracemalloc.start()
+            try:
+                got = decode(inst, ROUGE1, UNIFORM).gain_estimates
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array(got).tobytes() == want.tobytes()
+            assert peak < bound, (len(evidence), peak)
 
 
 class TestSelect:
@@ -560,3 +669,26 @@ class TestRangeVote:
         result = range_vote(inst, GainSpec(kind="external"))
         assert result.selected_index == 0
         assert result.gain_estimates == pytest.approx([0.75, 0.15], abs=1e-15)
+
+    @pytest.mark.parametrize("budget", [1, 7, 1 << 16])
+    def test_means_are_those_of_the_gain_matrix_rows(self, monkeypatch, budget):
+        # The rows are read block by block over the distinct columns; the
+        # means are still the sums of the per-sample matrix's rows, in order.
+        monkeypatch.setattr(metrics, "_PAIR_CHUNK", budget)
+        rng = np.random.default_rng(2704)
+        for spec in (ROUGE1, GainSpec(kind="sentence_bleu"), GainSpec(kind="answer_match")):
+            for n_evidence, n_hypotheses in ((1, 1), (30, None), (60, 9), (200, 4)):
+                inst = random_instance(rng, n_evidence, n_hypotheses)
+                inst = Instance(
+                    id=inst.id,
+                    evidence=tuple(replace(c, answer=c.tokens[0]) for c in inst.evidence),
+                    hypotheses=inst.hypotheses and tuple(replace(c, answer=c.tokens[0])
+                                                         for c in inst.hypotheses),
+                )
+                totals = [0.0] * len(inst.hypotheses or inst.evidence)
+                for row in gain_matrix(inst, spec).tolist():
+                    for j, rating in enumerate(row):
+                        totals[j] += rating
+                want = tuple(t / n_evidence for t in totals)
+                assert np.array(range_vote(inst, spec).gain_estimates).tobytes() \
+                    == np.array(want).tobytes()
