@@ -17,7 +17,7 @@ import os
 import sys
 from collections import deque
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, repeat
 from typing import TYPE_CHECKING
 
@@ -127,38 +127,21 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def config_echo(config: RunConfig) -> dict:
-    """The run configuration as a JSON-ready dict with a fixed key order.
+    """The run configuration as a JSON-ready dict with a fixed key order:
+    the specs' fields in their declared order, the mixture sorted by id.
 
     Sufficient to reproduce the run; jobs is deliberately absent because
     results do not depend on it.
     """
-    mixture = config.weighting.mixture_weights
-    return {
-        "metric": {
-            "kind": config.gain.kind,
-            "n": config.gain.n,
-            "max_order": config.gain.max_order,
-            "lowercase": config.gain.lowercase,
-            "tokenizer": config.gain.tokenizer,
-        },
-        "weighting": {
-            "kind": config.weighting.kind,
-            "tau": config.weighting.tau,
-            "beta": config.weighting.beta,
-            "gamma": config.weighting.gamma,
-            "mixture_weights": dict(sorted(mixture.items())) if mixture else None,
-        },
-        "tie_break": config.tie_break,
-        "dedup_hypotheses": config.dedup_hypotheses,
-    }
+    weighting = asdict(config.weighting)
+    mixture = weighting["mixture_weights"]
+    weighting["mixture_weights"] = dict(sorted(mixture.items())) if mixture else None
+    return {"metric": asdict(config.gain), "weighting": weighting,
+            "tie_break": config.tie_break, "dedup_hypotheses": config.dedup_hypotheses}
 
 
 def _matrix_echo(config: RunConfig) -> dict:
-    echo = config_echo(config)
-    return {
-        "metric": echo["metric"],
-        "dedup_hypotheses": echo["dedup_hypotheses"],
-    }
+    return {"metric": asdict(config.gain), "dedup_hypotheses": config.dedup_hypotheses}
 
 
 def _add_gain_options(parser: argparse.ArgumentParser) -> None:

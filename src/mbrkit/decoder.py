@@ -4,11 +4,13 @@ The core estimator scores each hypothesis by the weighted sum of its
 pairwise gains against the evidence multiset and picks the argmax.
 ``self_consistency`` is decoding with the answer-match gain and uniform
 weights, plus a vote tally. The expected gains are one reduction over
-the gain table's blocks in sample order (:func:`_table_gains`), which
+the gain table's rows in sample order (:func:`_table_gains`), which
 ``decode`` runs on its table and :func:`expected_gains` on a matrix
-given whole. ``range_vote`` (mean utility over a rated slate) reads the
-same blocks of rows as ``decode`` but sums them in its own loop, so the
-two reductions check each other rather than being assumed to agree.
+given whole. The table reads its own rows in sample order and sizes
+their blocks (:meth:`mbrkit.metrics.GainTable.samples`); this module
+only sums them. ``range_vote`` (mean utility over a rated slate) reads
+the same blocks of rows as ``decode`` but sums them in its own loop, so
+the two reductions check each other rather than being assumed to agree.
 """
 
 from __future__ import annotations
@@ -16,12 +18,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import replace
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import MbrError, NonFiniteValueError, ShapeMismatchError, with_instance_id
-from . import metrics
 from .metrics import GainTable, distinct_tokens, gain_table
 from .types import (
     TIE_BREAKS,
@@ -72,23 +73,23 @@ def _table_gains(table: GainTable, weights: np.ndarray) -> np.ndarray:
 
     On a C-ordered matrix with two or more columns numpy's axis-0 sum adds
     the rows one by one, in order. So each block of samples
-    (:func:`_sample_blocks`) is weighed and summed, from the second block
-    on with the running sum concatenated in front as its first row, and
-    the H_d sums are then gathered to the H hypotheses; a line within one
-    block takes one pass. A matrix that is
+    (:meth:`~mbrkit.metrics.GainTable.samples`) is weighed and summed,
+    from the second block on with the running sum concatenated in front
+    as its first row, and the H_d sums are then gathered to the H
+    hypotheses; a line within one block takes one pass. A matrix that is
     not C-contiguous is one block (:meth:`~mbrkit.metrics.GainTable.of`),
     weighed and summed as it is. Numpy sums a lone column pairwise, so one
     hypothesis (H = 1) is reduced as the one expression, and a lone
     distinct column (H_d = 1 < H) as two copies, which numpy sums row by
     row as it does the H columns. A line without evidence sums to zeros.
     """
-    hyps = table.shape[1] if table.hyp_inv is None else len(table.hyp_inv)
+    hyps = len(table.hyp_inv)
     lone = table.shape[1] == 1
     total, first = None, 0
     with np.errstate(over="ignore"):
         if hyps < 2 or not len(weights):
             return (weights[:, None] * table.matrix()).sum(axis=0)
-        for part in _sample_blocks(table):
+        for part in table.samples():
             if lone:
                 part = part.take([0, 0], axis=1)
             part = weights[first:first + len(part), None] * part
@@ -97,60 +98,6 @@ def _table_gains(table: GainTable, weights: np.ndarray) -> np.ndarray:
                 part = np.concatenate((total[None], part))
             total = part.sum(axis=0)
     return total if table.shape[1] == hyps else total.take(table.hyp_inv)
-
-
-def _sample_blocks(table: GainTable) -> Iterable[np.ndarray]:
-    """The evidence samples' rows of ``table`` against its distinct
-    hypothesis columns, in blocks in sample order.
-
-    When no evidence sample repeats another (or there are no inverses),
-    these are the table's blocks. Otherwise they are gathered in blocks of
-    ``metrics._PAIR_CHUNK`` cells (of two columns at least), and a line
-    within one such block is one take of the whole table; a longer line's
-    rows are held only while it needs them (:func:`_held_rows`).
-    """
-    ev_inv, (height, width) = table.ev_inv, table.shape
-    if ev_inv is None or len(ev_inv) == height:
-        return table.blocks()
-    step = max(1, metrics._PAIR_CHUNK // max(width, 2))
-    if len(ev_inv) > step:
-        return _held_rows(table, step)
-    rows = table.rows(0, height) if table.step >= height else np.concatenate(list(table.blocks()))
-    return (rows.take(ev_inv, axis=0),)
-
-
-def _held_rows(table: GainTable, step: int) -> Iterator[np.ndarray]:
-    """Blocks of ``step`` samples' rows, each gathered from the rows of
-    ``table`` made so far. Rows come in order of first occurrence, so a
-    block needs only the rows below its largest id: rows are made as they
-    are needed, held until their last sample, and then dropped, their
-    slots taken by rows made later. Block k of samples holds at most the
-    rows first read by its end, less those last read before it, plus one
-    block of rows made ahead; the buffer is the most of these, found
-    before any row is made. So it is a block or two when few rows recur,
-    and the table only when every row recurs at the end.
-    """
-    (height, width), ev_inv, blocks = table.shape, table.ev_inv, table.blocks()
-    samples = len(ev_inv)
-    last = np.zeros(height, dtype=np.intp)  # each row's last sample
-    np.maximum.at(last, ev_inv, np.arange(samples))
-    done = last // step  # the block of samples after which each row is dropped
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(done))))
-    ends = np.minimum(np.arange(step, samples + step, step), samples) - 1
-    read = np.maximum.accumulate(ev_inv)[ends] + 1  # rows first read by each block's end
-    held = np.empty((min(height, int((read - bounds[:-1]).max()) + table.step), width))
-    free, slot, made = np.arange(len(held)), np.zeros(height, dtype=np.intp), 0
-    by_done = metrics._stable_order(done)  # the rows in the order they are dropped
-    for k, first in enumerate(range(0, samples, step)):
-        ids = ev_inv[first:first + step]
-        while made <= ids.max():
-            block = next(blocks)
-            kept = len(free) - len(block)
-            slot[made:made + len(block)], free = free[kept:], free[:kept]
-            held[slot[made:made + len(block)]] = block
-            made += len(block)
-        yield held.take(slot[ids], axis=0)
-        free = np.concatenate((free, slot[by_done[bounds[k]:bounds[k + 1]]]))
 
 
 def select(
@@ -283,7 +230,7 @@ def range_vote(
     Each evidence candidate rates every hypothesis with the gain function
     and each hypothesis receives its mean rating. The ratings are the
     rows of the gain table ``decode`` uses, read block by block over its
-    distinct hypothesis columns (:func:`_sample_blocks`);
+    distinct hypothesis columns (:meth:`~mbrkit.metrics.GainTable.samples`);
     totals accumulate over them in a plain Python loop, in evidence
     order, deliberately not sharing the weighted reduction of
     :func:`expected_gains`, so the two routes check each other, and are
@@ -295,12 +242,11 @@ def range_vote(
         n = len(inst.evidence)
         table = gain_table(inst, gain_spec)
         totals = [0.0] * table.shape[1]
-        for block in _sample_blocks(table):
+        for block in table.samples():
             for row in block.tolist():
                 for j, rating in enumerate(row):
                     totals[j] += rating
-        columns = range(len(totals)) if table.hyp_inv is None else table.hyp_inv.tolist()
-        means = np.array([totals[k] / n for k in columns])
+        means = np.array([totals[k] / n for k in table.hyp_inv.tolist()])
         index, tie_broken = select(means, inst.hypotheses, tie_break, gain_spec, inst.sides()[1])
     except MbrError as exc:
         raise with_instance_id(exc, inst.id) from exc

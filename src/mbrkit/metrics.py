@@ -17,10 +17,11 @@ the token sequence, found once per distinct candidate of the side's
 :class:`~mbrkit.types.Side`; a table is built once per pair of
 distinct keys.
 The block producer and the two inverses form one :class:`GainTable`,
-whose blocks the decoder reduces in sample order to the expected gains
-over the distinct hypothesis columns, holding each distinct row only
-until its last sample and gathering only the sums back to the
-hypothesis samples; no layer holds a line's whole table.
+which also reads its rows in sample order (:meth:`GainTable.samples`),
+holding each distinct row only until its last sample. The decoder sums
+those blocks to the expected gains over the distinct hypothesis columns
+and gathers only the sums back to the hypothesis samples; no layer
+holds a line's whole table.
 The n-gram overlap kernel is defined in its signed-difference form,
 
     K(y, y') = 1 - |T(y) - T(y')|_1 / (|T(y)|_1 + |T(y')|_1)
@@ -55,7 +56,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -514,31 +515,85 @@ class GainTable(NamedTuple):
     hyp_inv[j])``. Rows and columns are each side's distinct keys in order
     of first occurrence, so a side without a repeated key has the identity
     inverse and its rows (or columns) are already in sample order; an
-    external matrix has no inverses and is the per-sample matrix itself,
-    in one block. The token sequences a table keys on stay on the
-    instance's Sides (:func:`distinct_tokens`).
+    external matrix is the per-sample matrix itself, with identity
+    inverses. :meth:`samples` reads the rows in sample order. The token
+    sequences a table keys on stay on the instance's Sides
+    (:func:`distinct_tokens`).
     """
 
     shape: tuple[int, int]
     step: int
     rows: Callable[[int, int], np.ndarray]
-    ev_inv: np.ndarray | None = None
-    hyp_inv: np.ndarray | None = None
+    ev_inv: np.ndarray
+    hyp_inv: np.ndarray
 
     @classmethod
-    def of(cls, matrix: np.ndarray, ev_inv: np.ndarray | None = None,
-           hyp_inv: np.ndarray | None = None) -> GainTable:
+    def of(cls, matrix: np.ndarray, *inverses: np.ndarray) -> GainTable:
         """The table of a matrix already held, in views of ``_PAIR_CHUNK``
         cells of its rows; a matrix that is not C-contiguous is one block,
-        which numpy sums pairwise, not row by row."""
-        step = _PAIR_CHUNK // max(matrix.shape[1], 1) if matrix.flags.c_contiguous else len(matrix)
+        which numpy sums pairwise, not row by row. ``inverses`` are the
+        evidence and hypothesis inverses, the identities when not given."""
+        height, width = matrix.shape
+        step = _PAIR_CHUNK // max(width, 1) if matrix.flags.c_contiguous else height
         return cls(matrix.shape, max(1, step), lambda first, stop: matrix[first:stop],
-                   ev_inv, hyp_inv)
+                   *(inverses or (np.arange(height), np.arange(width))))
 
     def blocks(self) -> Iterator[np.ndarray]:
         """The table's blocks of rows, in order."""
         height, step = self.shape[0], self.step
         return map(self.rows, range(0, height, step), range(step, height + step, step))
+
+    def samples(self) -> Iterable[np.ndarray]:
+        """The evidence samples' rows against the distinct hypothesis
+        columns, in blocks in sample order.
+
+        When no evidence sample repeats another, these are the table's
+        blocks. Otherwise they are gathered in blocks of ``_PAIR_CHUNK``
+        cells (of two columns at least), and a line within one such block
+        is one take of the whole table; a longer line's rows are held only
+        while it needs them (:meth:`_held_rows`).
+        """
+        (height, width), ev_inv = self.shape, self.ev_inv
+        if len(ev_inv) == height:
+            return self.blocks()
+        step = max(1, _PAIR_CHUNK // max(width, 2))
+        if len(ev_inv) > step:
+            return self._held_rows(step)
+        rows = self.rows(0, height) if self.step >= height else np.concatenate(list(self.blocks()))
+        return (rows.take(ev_inv, axis=0),)
+
+    def _held_rows(self, step: int) -> Iterator[np.ndarray]:
+        """Blocks of ``step`` samples' rows, each gathered from the rows
+        made so far. Rows come in order of first occurrence, so a block
+        needs only the rows below its largest id: rows are made as they are
+        needed, held until their last sample, and then dropped, their slots
+        taken by rows made later. Block k of samples holds at most the rows
+        first read by its end, less those last read before it, plus one
+        block of rows made ahead; the buffer is the most of these, found
+        before any row is made. So it is a block or two when few rows
+        recur, and the table only when every row recurs at the end.
+        """
+        (height, width), ev_inv, blocks = self.shape, self.ev_inv, self.blocks()
+        samples = len(ev_inv)
+        last = np.zeros(height, dtype=np.intp)  # each row's last sample
+        np.maximum.at(last, ev_inv, np.arange(samples))
+        done = last // step  # the block of samples after which each row is dropped
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(done))))
+        ends = np.minimum(np.arange(step, samples + step, step), samples) - 1
+        read = np.maximum.accumulate(ev_inv)[ends] + 1  # rows first read by each block's end
+        held = np.empty((min(height, int((read - bounds[:-1]).max()) + self.step), width))
+        free, slot, made = np.arange(len(held)), np.zeros(height, dtype=np.intp), 0
+        by_done = _stable_order(done)  # the rows in the order they are dropped
+        for k, first in enumerate(range(0, samples, step)):
+            ids = ev_inv[first:first + step]
+            while made <= ids.max():
+                block = next(blocks)
+                kept = len(free) - len(block)
+                slot[made:made + len(block)], free = free[kept:], free[:kept]
+                held[slot[made:made + len(block)]] = block
+                made += len(block)
+            yield held.take(slot[ids], axis=0)
+            free = np.concatenate((free, slot[by_done[bounds[k]:bounds[k + 1]]]))
 
     def matrix(self, jobs: int = 1) -> np.ndarray:
         """The per-sample gain matrix in C order: the blocks put together,
@@ -557,8 +612,6 @@ class GainTable(NamedTuple):
 
             with ThreadPoolExecutor(max_workers=min(jobs, len(starts))) as pool:
                 list(pool.map(put, starts))
-        if self.ev_inv is None:
-            return table
         if len(self.hyp_inv) != table.shape[1]:
             table = table.take(self.hyp_inv, axis=1)
         return table if len(self.ev_inv) == len(table) else table.take(self.ev_inv, axis=0)
@@ -567,7 +620,8 @@ class GainTable(NamedTuple):
 def gain_table(inst: Instance, spec: GainSpec) -> GainTable:
     """The instance's gains over its distinct keys, each side interned once.
 
-    ``external`` is one block, the instance's matrix. Every other
+    ``external`` is the instance's matrix with identity inverses
+    (:meth:`GainTable.of`). Every other
     gain keys each side's Side (:meth:`~mbrkit.types.Instance.sides`) in
     one step, on the stripped answer for ``answer_match`` and on the token
     sequence of :func:`distinct_tokens` otherwise, each found once per
@@ -588,8 +642,7 @@ def gain_table(inst: Instance, spec: GainSpec) -> GainTable:
     keys and postings serve both.
     """
     if spec.kind == "external":
-        matrix = np.asarray(require_external_gain(inst, spec), dtype=np.float64)
-        return GainTable(matrix.shape, max(1, len(matrix)), lambda first, stop: matrix[first:stop])
+        return GainTable.of(np.asarray(require_external_gain(inst, spec), dtype=np.float64))
 
     ev_side, hyp_side = inst.sides()
     shared = hyp_side is ev_side

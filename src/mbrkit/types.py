@@ -356,12 +356,16 @@ def validate_instance(
     external = require_external_gain(inst, gain)
     if external is not None:
         external = tuple(tuple(float(v) for v in row) for row in external)
-        if len(external) != len(evidence) or any(len(row) != len(hypotheses) for row in external):
+        if len(external) != len(evidence):
             raise MatrixShapeMismatchError(
                 f"external gain matrix is {len(external)}x"
                 f"{len(external[0]) if external else 0}, expected "
                 f"{len(evidence)}x{len(hypotheses)}"
             )
+        for i, row in enumerate(external):
+            if len(row) != len(hypotheses):
+                raise MatrixShapeMismatchError(
+                    f"external_gain[{i}] has {len(row)} entries, expected {len(hypotheses)}")
         for i, row in enumerate(external):
             for j, v in enumerate(row):
                 if not math.isfinite(v):

@@ -1095,6 +1095,16 @@ class TestDecodeCommand:
         assert [json.loads(line)["id"] for line in out.splitlines()] == ["b"]
         assert err == ["line 1: instance 'a': external_gain[0][0] is nan"]
 
+    @pytest.mark.parametrize("metric", ["exact", "answer", "rouge", "bleu", "external"])
+    def test_ragged_external_gain_names_its_short_row(self, tmp_path, capsys, metric):
+        inp = self.write_input(tmp_path, [
+            '{"id":"a","evidence":[{"text":"a","answer":"a"},{"text":"b","answer":"b"}],'
+            '"external_gain":[[1,2],[3]]}',
+        ])
+        code, out, err = self.run_captured(capsys, ["decode", "--metric", metric, "--input", str(inp)])
+        assert (code, out) == (1, "")
+        assert err == ["line 1: instance 'a': external_gain[1] has 1 entries, expected 2"]
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_stdout_is_utf8_whatever_the_locale(self, jobs):
         data = ('{"id":"a","evidence":[{"text":"a"}]}\n'

@@ -339,6 +339,44 @@ class TestTableReduction:
             assert peak < bound, (len(evidence), peak)
 
 
+    def test_held_rows_make_each_table_block_once(self, monkeypatch):
+        # 300 distinct 12-token samples read twice over: with a budget of 40
+        # columns' rows, the samples come in 15 blocks and every row recurs
+        # in a later block, so the rows are held; each table block is still
+        # made once, in order. Every gain kind's table carries an integer
+        # inverse per sample on each side, identities for an external matrix.
+        monkeypatch.setattr(metrics, "_PAIR_CHUNK", 300 * 40)
+        rng = np.random.default_rng(2801)
+        words = [f"w{i}" for i in range(200)]
+        cands = [token_cand([words[i] for i in rng.integers(0, 200, size=12)]) for _ in range(300)]
+        inst = validate_instance(Instance(id="h", evidence=tuple(cands + cands)), ROUGE1, UNIFORM)
+        table = metrics.gain_table(inst, ROUGE1)
+        calls = []
+
+        def counted(first, stop):
+            calls.append((first, stop))
+            return table.rows(first, stop)
+
+        weights = np.full(600, 1 / 600)
+        got = decoder._table_gains(table._replace(rows=counted), weights)
+        step = table.step
+        assert 1 < step < 300 and calls == [(k, k + step) for k in range(0, 300, step)]
+        assert got.tobytes() == expected_gains(gain_matrix(inst, ROUGE1), weights).tobytes()
+
+        evidence = tuple(replace(c, answer=c.tokens[0]) for c in cands[:4] + cands[:3])
+        hypotheses = evidence[2:6]
+        for hyps in (None, hypotheses):
+            width = len(hyps or evidence)
+            raw = Instance(id="k", evidence=evidence, hypotheses=hyps,
+                           external_gain=tuple((0.5,) * width for _ in evidence))
+            for spec in (EXACT, GainSpec(kind="answer_match"), ROUGE1,
+                         GainSpec(kind="sentence_bleu"), GainSpec(kind="external")):
+                table = metrics.gain_table(validate_instance(raw, spec, UNIFORM), spec)
+                for inverse, samples in ((table.ev_inv, len(evidence)), (table.hyp_inv, width)):
+                    assert isinstance(inverse, np.ndarray) and inverse.dtype.kind == "i"
+                    assert len(inverse) == samples, spec.kind
+
+
 class TestSelect:
     def test_strict_max(self):
         hyps = (Candidate(text="x"), Candidate(text="y"), Candidate(text="z"))

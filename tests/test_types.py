@@ -242,6 +242,22 @@ class TestValidateInstance:
         with pytest.raises(MatrixShapeMismatchError):
             validate_instance(inst, GainSpec(), WeightSpec())
 
+    def test_ragged_external_matrix_names_its_first_wrong_row(self):
+        inst = make_instance(texts=("a", "b"), external_gain=((1.0, 2.0), (3.0,)))
+        with pytest.raises(MatrixShapeMismatchError) as err:
+            validate_instance(inst, GainSpec(), WeightSpec())
+        assert str(err.value) == "external_gain[1] has 1 entries, expected 2"
+        inst = make_instance(texts=("a", "b"), external_gain=((1.0, 2.0, 3.0), (3.0,)))
+        with pytest.raises(MatrixShapeMismatchError) as err:
+            validate_instance(inst, GainSpec(), WeightSpec())
+        assert str(err.value) == "external_gain[0] has 3 entries, expected 2"
+
+    def test_external_row_count_message_is_kept(self):
+        inst = make_instance(texts=("a", "b"), external_gain=((1.0, 2.0),))
+        with pytest.raises(MatrixShapeMismatchError) as err:
+            validate_instance(inst, GainSpec(), WeightSpec())
+        assert str(err.value) == "external gain matrix is 1x2, expected 2x2"
+
     def test_external_kind_requires_matrix(self):
         with pytest.raises(MatrixShapeMismatchError):
             validate_instance(make_instance(), GainSpec(kind="external"), WeightSpec())
