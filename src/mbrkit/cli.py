@@ -26,11 +26,14 @@ from .errors import ConfigError, MbrError, ParseError, SchemaError, with_instanc
 from .io import RawJson, dumps, iter_lines, parse_instance_line, result_record, write_instances
 from .metrics import gain_matrix
 from .oracle import build_fixture_instances
-from .types import GainSpec, Instance, WeightSpec, validate_instance
+from .types import (TIE_BREAKS, TOKENIZERS, WEIGHT_KINDS, GainSpec, Instance, WeightSpec,
+                    validate_instance)
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
 
+#: The gain kind of each --metric name. Every other kind is spelled on the
+#: command line as it is in ``mbrkit.types``, with ``-`` for ``_``.
 METRIC_NAMES = {
     "exact": "exact_match",
     "answer": "answer_match",
@@ -38,14 +41,6 @@ METRIC_NAMES = {
     "bleu": "sentence_bleu",
     "external": "external",
 }
-WEIGHTING_NAMES = {
-    "uniform": "uniform",
-    "temperature": "temperature",
-    "length-norm": "length_norm",
-    "length-reward": "length_reward",
-    "mixture": "mixture",
-}
-TIE_BREAK_NAMES = {"first": "first", "highest-score": "highest_score", "longest": "longest"}
 
 #: The gain/weighting grid the fixture writer materializes golden outputs for.
 GOLDEN_GAINS = (
@@ -91,7 +86,14 @@ def parse_mixture(text: str) -> dict[str, float]:
     return weights
 
 
+def _flag_names(kinds: tuple[str, ...]) -> tuple[str, ...]:
+    """The command-line names of ``kinds``: ``-`` for ``_``."""
+    return tuple(kind.replace("_", "-") for kind in kinds)
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The run configuration of parsed ``decode`` or ``matrix`` arguments;
+    each kind is its flag's value with ``_`` for ``-``."""
     gain = GainSpec(
         kind=METRIC_NAMES[args.metric],
         n=args.ngram,
@@ -99,14 +101,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         lowercase=not args.no_lowercase,
         tokenizer=args.tokenizer.replace("-", "_"),
     )
-    mixture = parse_mixture(args.mixture) if getattr(args, "mixture", None) is not None else None
     weighting = WeightSpec(
-        kind=WEIGHTING_NAMES[args.weighting],
+        kind=args.weighting.replace("-", "_"),
         tau=args.tau,
         beta=args.beta,
         gamma=args.gamma,
-        mixture_weights=mixture,
-    ) if hasattr(args, "weighting") else WeightSpec()
+        mixture_weights=None if args.mixture is None else parse_mixture(args.mixture),
+    )
     jobs = args.jobs
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -118,7 +119,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         gain=gain,
         weighting=weighting,
-        tie_break=TIE_BREAK_NAMES[args.tie_break] if hasattr(args, "tie_break") else "first",
+        tie_break=args.tie_break.replace("-", "_"),
         dedup_hypotheses=args.dedup_hypotheses,
         jobs=jobs,
         input=args.input,
@@ -153,7 +154,7 @@ def _add_gain_options(parser: argparse.ArgumentParser) -> None:
                         help="maximum n-gram order for sentence BLEU (default 4)")
     parser.add_argument("--no-lowercase", action="store_true",
                         help="keep case when tokenizing")
-    parser.add_argument("--tokenizer", choices=("whitespace", "unicode-word"),
+    parser.add_argument("--tokenizer", choices=_flag_names(TOKENIZERS),
                         default="whitespace", help="tokenizer for candidates without tokens")
     parser.add_argument("--dedup-hypotheses", action="store_true",
                         help="drop hypotheses with duplicate token sequences")
@@ -178,23 +179,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_decode = sub.add_parser("decode", help="select one hypothesis per instance")
     _add_gain_options(p_decode)
-    p_decode.add_argument("--weighting", choices=tuple(WEIGHTING_NAMES), default="uniform",
-                          help="evidence weighting (default uniform)")
-    p_decode.add_argument("--tau", type=float, default=1.0, metavar="F",
-                          help="temperature for temperature weighting (default 1)")
-    p_decode.add_argument("--beta", type=float, default=0.0, metavar="F",
-                          help="length-normalization exponent (default 0)")
-    p_decode.add_argument("--gamma", type=float, default=0.0, metavar="F",
-                          help="per-token length reward (default 0)")
-    p_decode.add_argument("--mixture", metavar="ID=W,ID=W", default=None,
-                          help="per-model mixture weights")
-    p_decode.add_argument("--tie-break", choices=tuple(TIE_BREAK_NAMES), default="first",
-                          help="rule for gain ties (default first)")
+    decode_only = [
+        p_decode.add_argument("--weighting", choices=_flag_names(WEIGHT_KINDS), default="uniform",
+                              help="evidence weighting (default uniform)"),
+        p_decode.add_argument("--tau", type=float, default=1.0, metavar="F",
+                              help="temperature for temperature weighting (default 1)"),
+        p_decode.add_argument("--beta", type=float, default=0.0, metavar="F",
+                              help="length-normalization exponent (default 0)"),
+        p_decode.add_argument("--gamma", type=float, default=0.0, metavar="F",
+                              help="per-token length reward (default 0)"),
+        p_decode.add_argument("--mixture", metavar="ID=W,ID=W", default=None,
+                              help="per-model mixture weights"),
+        p_decode.add_argument("--tie-break", choices=_flag_names(TIE_BREAKS), default="first",
+                              help="rule for gain ties (default first)"),
+    ]
     _add_io_options(p_decode)
+    p_decode.set_defaults(record=_decode_record, echo=config_echo)
 
     p_matrix = sub.add_parser("matrix", help="emit the gain matrix of each instance")
     _add_gain_options(p_matrix)
     _add_io_options(p_matrix)
+    # decode's weighting and tie-break defaults, so both commands make one RunConfig.
+    p_matrix.set_defaults(record=_matrix_record, echo=_matrix_echo,
+                          **{action.dest: action.default for action in decode_only})
 
     p_fixtures = sub.add_parser("fixtures", help="write the toy fixture set and golden outputs")
     p_fixtures.add_argument("--seed", type=int, default=7, metavar="N",
@@ -372,16 +379,6 @@ def _run_batch(config: RunConfig, record_fn, echo: dict) -> int:
     return 1 if failed else 0
 
 
-def cmd_decode(args: argparse.Namespace) -> int:
-    config = config_from_args(args)
-    return _run_batch(config, _decode_record, config_echo(config))
-
-
-def cmd_matrix(args: argparse.Namespace) -> int:
-    config = config_from_args(args)
-    return _run_batch(config, _matrix_record, _matrix_echo(config))
-
-
 def cmd_fixtures(args: argparse.Namespace) -> int:
     """Write toy.jsonl, then decode it into each golden file as ``mbrkit decode`` does."""
     try:
@@ -409,15 +406,14 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "decode":
-            return cmd_decode(args)
-        if args.command == "matrix":
-            return cmd_matrix(args)
         if args.command == "fixtures":
             return cmd_fixtures(args)
-        from .selfcheck import run_selfcheck
+        if args.command == "selfcheck":
+            from .selfcheck import run_selfcheck
 
-        return run_selfcheck()
+            return run_selfcheck()
+        config = config_from_args(args)
+        return _run_batch(config, args.record, args.echo(config))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -480,9 +480,11 @@ def _ngram_gains(ev_keys: list, hyp_keys: list, spec: GainSpec) -> tuple[int, Ca
     One set of postings and one join cover every order (ROUGE's order n
     only). A block is ``_PAIR_CHUNK // (largest row cost)`` evidence rows,
     or one row. No sequence has a gram of an order past the longest
-    sequence on either side, so no such order is built: at that ROUGE
-    order every pair has two empty count vectors and gains 1.0, and such a
-    BLEU order adds log 1 == 0.0 to every cell.
+    sequence on either side, so no order past one more than it is built.
+    ROUGE's n is clamped to ``longest + 1``: there, as at any larger n,
+    every count vector is empty and every pair gains 1.0. BLEU's orders
+    stop at the longest, since each order past it adds log 1 == 0.0 to
+    every cell.
     """
     shared = hyp_keys is ev_keys
     height, width = len(ev_keys), len(hyp_keys)
@@ -490,10 +492,7 @@ def _ngram_gains(ev_keys: list, hyp_keys: list, spec: GainSpec) -> tuple[int, Ca
     hyp_lens = ev_lens if shared else np.fromiter(map(len, hyp_keys), np.int64, width)
     longest = int(max(ev_lens.max(initial=0), hyp_lens.max(initial=0)))
     rouge = spec.kind == "rouge_n_kernel"
-    top = spec.n if rouge else spec.max_order
-    if rouge and top > longest:
-        return (max(1, _PAIR_CHUNK // max(width, 1)),
-                lambda first, stop: np.ones((min(stop, height) - first, width)))
+    top = min(spec.n, longest + 1) if rouge else spec.max_order
     orders = range(top, top + 1) if rouge else range(1, max(1, min(top, longest)) + 1)
     finish = _rouge_finish if rouge else _bleu_finish
     ev, hyp, bounds = _ngram_postings(ev_keys, hyp_keys, orders)
@@ -620,8 +619,9 @@ class GainTable(NamedTuple):
 def gain_table(inst: Instance, spec: GainSpec) -> GainTable:
     """The instance's gains over its distinct keys, each side interned once.
 
-    ``external`` is the instance's matrix with identity inverses
-    (:meth:`GainTable.of`). Every other
+    ``external`` is the instance's matrix, checked as validation checks
+    it (:func:`~mbrkit.types.require_external_gain`), with identity
+    inverses (:meth:`GainTable.of`). Every other
     gain keys each side's Side (:meth:`~mbrkit.types.Instance.sides`) in
     one step, on the stripped answer for ``answer_match`` and on the token
     sequence of :func:`distinct_tokens` otherwise, each found once per

@@ -309,12 +309,36 @@ def evidence_model_ids(evidence: Side, mixture_weights: dict[str, float] | None)
 
 
 def require_external_gain(inst: Instance, gain: GainSpec) -> tuple | None:
-    """The instance's external gain matrix, which an ``external`` gain requires."""
-    if gain.kind == "external" and inst.external_gain is None:
+    """The instance's external gain matrix as rows of floats, checked: an
+    ``external`` gain requires one, and any matrix must have one row per
+    evidence sample, one entry per hypothesis in each row (per evidence
+    sample when the instance has no hypotheses) and finite entries. The
+    one home of this rule: :func:`validate_instance` and
+    :func:`mbrkit.metrics.gain_table` both call it."""
+    external = inst.external_gain
+    if external is None:
+        if gain.kind == "external":
+            raise MatrixShapeMismatchError(
+                "gain kind 'external' requires the instance to carry an external_gain matrix"
+            )
+        return None
+    external = tuple(tuple(float(v) for v in row) for row in external)
+    rows = len(inst.evidence)
+    width = rows if inst.hypotheses is None else len(inst.hypotheses)
+    if len(external) != rows:
         raise MatrixShapeMismatchError(
-            "gain kind 'external' requires the instance to carry an external_gain matrix"
+            f"external gain matrix is {len(external)}x"
+            f"{len(external[0]) if external else 0}, expected {rows}x{width}"
         )
-    return inst.external_gain
+    for i, row in enumerate(external):
+        if len(row) != width:
+            raise MatrixShapeMismatchError(
+                f"external_gain[{i}] has {len(row)} entries, expected {width}")
+    for i, row in enumerate(external):
+        for j, v in enumerate(row):
+            if not math.isfinite(v):
+                raise NonFiniteValueError(f"external_gain[{i}][{j}] is {v!r}")
+    return external
 
 
 def validate_instance(
@@ -327,9 +351,10 @@ def validate_instance(
 
     Defaults hypotheses to the evidence set (same order, same
     multiplicity) when absent, holds both candidate sequences as tuples
-    (each candidate already holds its tokens as one), coerces external
-    gains to floats, and verifies the field requirements of the given
-    gain and weighting specs.
+    (each candidate already holds its tokens as one), holds the external
+    gains as the float rows :func:`require_external_gain` checks and
+    returns, and verifies the field requirements of the given gain and
+    weighting specs.
     Idempotent: validating a validated instance returns an equal instance.
     The checks run once per distinct candidate of :meth:`Instance.sides`,
     which the returned instance carries.
@@ -354,22 +379,6 @@ def validate_instance(
         _check_finite_scores(hyp_side, "hypotheses")
 
     external = require_external_gain(inst, gain)
-    if external is not None:
-        external = tuple(tuple(float(v) for v in row) for row in external)
-        if len(external) != len(evidence):
-            raise MatrixShapeMismatchError(
-                f"external gain matrix is {len(external)}x"
-                f"{len(external[0]) if external else 0}, expected "
-                f"{len(evidence)}x{len(hypotheses)}"
-            )
-        for i, row in enumerate(external):
-            if len(row) != len(hypotheses):
-                raise MatrixShapeMismatchError(
-                    f"external_gain[{i}] has {len(row)} entries, expected {len(hypotheses)}")
-        for i, row in enumerate(external):
-            for j, v in enumerate(row):
-                if not math.isfinite(v):
-                    raise NonFiniteValueError(f"external_gain[{i}][{j}] is {v!r}")
 
     if dedup_hypotheses:
         # Local import: metrics depends on this module for GainSpec.

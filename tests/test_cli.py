@@ -1176,6 +1176,15 @@ class TestDecodeCommand:
         else:
             assert code == 1 and err == [bad_out] and bad_out.startswith(error)
 
+    def test_rouge_order_past_every_sequence_output_is_pinned(self, tmp_path):
+        # SHA-256 of the output, pinned before ROUGE's n was clamped to one
+        # past the longest sequence in place of a separate all-ones table.
+        out = tmp_path / "out.jsonl"
+        assert run(["decode", "--metric", "rouge", "--ngram", "200000",
+                    "--input", str(FIXTURES / "toy.jsonl"), "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "b5595a749c9d47fa9744419cda54314a73ddf3a336cd6ba00cb47981e921eb92")
+
     @pytest.mark.parametrize("argv, flag", [
         (["decode", "--input", "{missing}"], "--input"),
         (["decode", "--input", "{missing}", "--output", "{file}"], "--input"),
@@ -1368,6 +1377,24 @@ class TestDecodeCommand:
         raw = out.read_bytes()
         assert raw.endswith(b"\n")
         assert b"\r" not in raw
+
+
+class TestHelpText:
+    # SHA-256 of each --help text at 80 columns, pinned before the kind
+    # names were spelled from the package's kind tuples.
+    DIGESTS = {
+        (): "8fd994745575983680599fbb5215991b7688a61ed96ee2a2b6390e47045283bb",
+        ("decode",): "56d0ad141d9af92bf0d795b73163b4bb61879532c1b0487182a5567cdf8ceb2d",
+        ("matrix",): "99e60ad80e66eee4ace82e07b988d279d60c3dd23ac6aefe3138e1346b70e2eb",
+        ("fixtures",): "88d042bc68f04204be933c87fed6ff556efb167a32b9ce216358e8524eda72a0",
+    }
+
+    @pytest.mark.parametrize("command", sorted(DIGESTS), ids=lambda c: " ".join(c) or "mbrkit")
+    def test_help_is_pinned(self, monkeypatch, capsys, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run([*command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.DIGESTS[command]
 
 
 class TestMatrixCommand:

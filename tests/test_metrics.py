@@ -258,19 +258,23 @@ class TestRougeKernel:
             assert pair_gain(a, a, spec) == 1.0
             assert pair_gain(a, a, spec) >= pair_gain(a, b, spec)
 
-    def test_order_past_every_sequence_is_all_ones_without_postings(self, monkeypatch):
+    def test_order_past_every_sequence_is_all_ones_at_one_past_the_longest(self, monkeypatch):
         # Both count vectors of every pair are empty, and two empty vectors
-        # are identical, so no n-gram of any order needs building.
+        # are identical. So n is clamped to one past the longest sequence,
+        # where they are empty too, and no order past it is built.
         inst = token_instance((("a", "b", "c"), ("a", "b"), ()), (("a", "b"), ("c",)))
         spec = GainSpec(kind="rouge_n_kernel", n=200000)
         assert rouge_kernel(ngram_counts(("a", "b", "c"), 200000),
                             ngram_counts(("a", "b"), 200000)) == 1.0
+        postings, orders = metrics._ngram_postings, []
 
-        def forbidden(*args):
-            raise AssertionError("postings built")
+        def watched(ev_seqs, hyp_seqs, given):
+            orders.append(given)
+            return postings(ev_seqs, hyp_seqs, given)
 
-        monkeypatch.setattr(metrics, "_ngram_postings", forbidden)
+        monkeypatch.setattr(metrics, "_ngram_postings", watched)
         assert gain_matrix(inst, spec).tolist() == [[1.0, 1.0]] * 3
+        assert orders and max(max(given) for given in orders) <= 3 + 1
 
 
 class TestMatchGains:

@@ -344,6 +344,33 @@ class TestValidateInstance:
         assert str(by_validation.value) == str(by_matrix.value) == (
             "gain kind 'external' requires the instance to carry an external_gain matrix")
 
+    @pytest.mark.parametrize("texts, hypotheses, rows, error, text", [
+        (("a", "b"), None, ((1.0, 2.0), (3.0,)),
+         MatrixShapeMismatchError, "external_gain[1] has 1 entries, expected 2"),
+        (("a",), None, (), MatrixShapeMismatchError, "external gain matrix is 0x0, expected 1x1"),
+        (("a", "b"), None, ((1.0, 2.0),),
+         MatrixShapeMismatchError, "external gain matrix is 1x2, expected 2x2"),
+        (("a", "b"), ("x", "y", "z"), ((1.0, 2.0), (3.0, 4.0)),
+         MatrixShapeMismatchError, "external_gain[0] has 2 entries, expected 3"),
+        (("a", "b"), None, ((1.0,), (2.0,)),
+         MatrixShapeMismatchError, "external_gain[0] has 1 entries, expected 2"),
+        (("a", "b"), None, ((1.0, 2.0), (3.0, math.nan)),
+         NonFiniteValueError, "external_gain[1][1] is nan"),
+    ], ids=["ragged", "empty", "row-count", "width", "width-of-default-hypotheses", "nan"])
+    def test_unvalidated_external_matrix_fails_as_validation_does(self, texts, hypotheses, rows,
+                                                                   error, text):
+        # gain_matrix and gain_table check an external matrix by the rule
+        # validate_instance applies, so an API caller that never validated
+        # gets the same class and text.
+        hyps = None if hypotheses is None else tuple(Candidate(text=t) for t in hypotheses)
+        inst = make_instance(texts=texts, hypotheses=hyps, external_gain=rows)
+        spec = GainSpec(kind="external")
+        for check in (lambda: validate_instance(inst, spec, WeightSpec()),
+                      lambda: gain_matrix(inst, spec), lambda: metrics.gain_table(inst, spec)):
+            with pytest.raises(MbrError) as err:
+                check()
+            assert type(err.value) is error and str(err.value) == text
+
     def test_dedup_slices_external_columns(self):
         inst = Instance(
             id="t",
