@@ -7,7 +7,9 @@ with golden decode outputs; `selfcheck` runs the built-in invariant
 suite. Exit codes: 0 success, 1 at least one instance failed (the rest
 are still processed) or the reader closed standard output, 2
 configuration error, a path that cannot be opened or a standard stream
-closed at start and not replaced by a path included.
+closed at start and not replaced by a path included. Error lines go to
+standard error only: when it is closed they are dropped, and the run and
+its exit code are as they would be with it open.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import argparse
 import os
 import sys
 from collections import deque
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import asdict, dataclass
 from itertools import chain, repeat
 from typing import TYPE_CHECKING
@@ -316,6 +318,16 @@ def _open_path(flag: str, path: str | int, mode: str, **kwargs):
         raise ConfigError(f"{flag} {path}: {exc.strerror or exc}") from None
 
 
+def _report(text: str) -> None:
+    """Write ``text`` as one line to standard error. A standard error that
+    is closed (``None``, where ``print`` would write to standard output)
+    or that fails the write drops the line: it never stops the run or
+    reaches the results."""
+    if sys.stderr is not None:
+        with suppress(OSError):
+            sys.stderr.write(text + "\n")
+
+
 def _run_batch(config: RunConfig, record_fn, echo: dict) -> int:
     """Stream the input through ``_process_line``, writing each outcome in
     input order as it arrives; results go to the output, errors to stderr.
@@ -375,7 +387,7 @@ def _run_batch(config: RunConfig, record_fn, echo: dict) -> int:
                     sink.flush()
             else:
                 failed += 1
-                print(text, file=sys.stderr)
+                _report(text)
     return 1 if failed else 0
 
 
@@ -415,7 +427,7 @@ def run(argv=None) -> int:
         config = config_from_args(args)
         return _run_batch(config, args.record, args.echo(config))
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 2
     except BrokenPipeError:
         # The reader closed standard output: what is still buffered for it

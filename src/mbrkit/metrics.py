@@ -619,13 +619,14 @@ class GainTable(NamedTuple):
 def gain_table(inst: Instance, spec: GainSpec) -> GainTable:
     """The instance's gains over its distinct keys, each side interned once.
 
-    ``external`` is the instance's matrix, checked as validation checks
-    it (:func:`~mbrkit.types.require_external_gain`), with identity
-    inverses (:meth:`GainTable.of`). Every other
-    gain keys each side's Side (:meth:`~mbrkit.types.Instance.sides`) in
-    one step, on the stripped answer for ``answer_match`` and on the token
-    sequence of :func:`distinct_tokens` otherwise, each found once per
-    distinct candidate. Key match makes each block as rows of the
+    ``external`` is the C-ordered float64 array that
+    :func:`~mbrkit.types.require_external_gain` checks and returns, as it
+    does for validation, with identity inverses (:meth:`GainTable.of`).
+    Every other gain keys each side's Side
+    (:meth:`~mbrkit.types.Instance.sides`) in one step, on the stripped
+    answer for ``answer_match`` and on the token sequence of
+    :func:`distinct_tokens` otherwise, each found once per distinct
+    candidate. Key match makes each block as rows of the
     identity when the sides are shared, and else by one ``np.equal.outer``
     of the row ids against each column's row. (A shared line, such as a
     vote, thus runs no integer comparison and cast, whose numpy code
@@ -642,7 +643,7 @@ def gain_table(inst: Instance, spec: GainSpec) -> GainTable:
     keys and postings serve both.
     """
     if spec.kind == "external":
-        return GainTable.of(np.asarray(require_external_gain(inst, spec), dtype=np.float64))
+        return GainTable.of(require_external_gain(inst, spec))
 
     ev_side, hyp_side = inst.sides()
     shared = hyp_side is ev_side

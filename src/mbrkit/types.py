@@ -308,13 +308,22 @@ def evidence_model_ids(evidence: Side, mixture_weights: dict[str, float] | None)
     return [c.model_id for c in evidence.distinct]
 
 
-def require_external_gain(inst: Instance, gain: GainSpec) -> tuple | None:
-    """The instance's external gain matrix as rows of floats, checked: an
-    ``external`` gain requires one, and any matrix must have one row per
-    evidence sample, one entry per hypothesis in each row (per evidence
-    sample when the instance has no hypotheses) and finite entries. The
-    one home of this rule: :func:`validate_instance` and
-    :func:`mbrkit.metrics.gain_table` both call it."""
+def require_external_gain(inst: Instance, gain: GainSpec) -> np.ndarray | None:
+    """The instance's external gain matrix as a C-ordered float64 array,
+    checked: an ``external`` gain requires one, and any matrix must have
+    one row per evidence sample, one entry per hypothesis in each row (per
+    evidence sample when the instance has no hypotheses) and finite
+    entries, the first non-finite one in row-major order named. The one
+    home of this rule: :func:`validate_instance` and
+    :func:`mbrkit.metrics.gain_table` both call it.
+
+    The entries are converted by one ``np.array`` and checked by one
+    ``np.isfinite``. Only a matrix that fails there is converted again
+    entry by entry with ``float()``, so that an entry ``float()`` cannot
+    convert raises its error, as it would in a per-entry conversion
+    (numpy reads ``None`` as NaN, and a matrix of one-number lists as a
+    third axis); so is a matrix of no rows, which numpy reads as 1-D.
+    """
     external = inst.external_gain
     if external is None:
         if gain.kind == "external":
@@ -322,7 +331,6 @@ def require_external_gain(inst: Instance, gain: GainSpec) -> tuple | None:
                 "gain kind 'external' requires the instance to carry an external_gain matrix"
             )
         return None
-    external = tuple(tuple(float(v) for v in row) for row in external)
     rows = len(inst.evidence)
     width = rows if inst.hypotheses is None else len(inst.hypotheses)
     if len(external) != rows:
@@ -334,11 +342,17 @@ def require_external_gain(inst: Instance, gain: GainSpec) -> tuple | None:
         if len(row) != width:
             raise MatrixShapeMismatchError(
                 f"external_gain[{i}] has {len(row)} entries, expected {width}")
-    for i, row in enumerate(external):
-        for j, v in enumerate(row):
-            if not math.isfinite(v):
-                raise NonFiniteValueError(f"external_gain[{i}][{j}] is {v!r}")
-    return external
+    try:
+        matrix = np.array(external, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        matrix = None
+    if matrix is None or matrix.shape != (rows, width) or not np.isfinite(matrix).all():
+        matrix = np.array([[float(v) for v in row] for row in external]).reshape(rows, width)
+        finite = np.isfinite(matrix)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise NonFiniteValueError(f"external_gain[{i}][{j}] is {matrix[i, j].item()!r}")
+    return matrix
 
 
 def validate_instance(
@@ -352,9 +366,9 @@ def validate_instance(
     Defaults hypotheses to the evidence set (same order, same
     multiplicity) when absent, holds both candidate sequences as tuples
     (each candidate already holds its tokens as one), holds the external
-    gains as the float rows :func:`require_external_gain` checks and
-    returns, and verifies the field requirements of the given gain and
-    weighting specs.
+    gains as tuples of Python floats, the rows of the array
+    :func:`require_external_gain` checks and returns, and verifies the
+    field requirements of the given gain and weighting specs.
     Idempotent: validating a validated instance returns an equal instance.
     The checks run once per distinct candidate of :meth:`Instance.sides`,
     which the returned instance carries.
@@ -362,8 +376,8 @@ def validate_instance(
     With ``dedup_hypotheses`` the hypothesis list keeps the first sample
     of each token sequence of :func:`mbrkit.metrics.distinct_tokens`,
     and its Side keeps those sequences, so they are not tokenized again;
-    external gain columns are sliced to match. Off by default because it
-    changes tie-break outcomes.
+    the external gain array's columns are sliced to match. Off by default
+    because it changes tie-break outcomes.
     """
     evidence = tuple(inst.evidence)
     if not evidence:
@@ -393,11 +407,13 @@ def validate_instance(
             order = np.arange(len(keep))
             hyp_side = Side(hypotheses, order, {gain: (seqs, order)})
             if external is not None:
-                external = tuple(tuple(row[j] for j in keep) for row in external)
+                external = external[:, keep]
 
     if weight.kind in SCORE_WEIGHT_KINDS:
         evidence_scores(ev_side, weight.kind)
     if weight.kind == "mixture":
         evidence_model_ids(ev_side, weight.mixture_weights)
 
+    if external is not None:
+        external = tuple(map(tuple, external.tolist()))
     return sided_instance(inst.id, evidence, hypotheses, external, (ev_side, hyp_side))

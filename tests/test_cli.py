@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -1220,11 +1221,12 @@ class TestDecodeCommand:
             err = proc.stderr.read().decode()
         assert (proc.returncode, err) == (1, "")
 
-    def run_closed(self, fd: int, argv):
+    def run_closed(self, fd: int, argv, how: str = ">&-"):
         """The CLI in its own process with file descriptor ``fd`` (0 for
-        standard input, 1 for standard output) closed."""
+        standard input, 1 for standard output, 2 for standard error) closed,
+        or redirected by the shell's ``how``."""
         env = {**os.environ, "PYTHONPATH": str(Path(mbrkit.__file__).resolve().parents[1])}
-        proc = subprocess.run(["sh", "-c", f'exec "$@" {fd}>&-', "sh",
+        proc = subprocess.run(["sh", "-c", f'exec "$@" {fd}{how}', "sh",
                                sys.executable, "-m", "mbrkit", *argv],
                               stdin=subprocess.DEVNULL, capture_output=True, env=env, timeout=120)
         return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode().splitlines()
@@ -1248,6 +1250,28 @@ class TestDecodeCommand:
         assert (code, out, err) == (0, "", [])
         assert self.run_captured(capsys, ["decode", "--input", str(inp)]) == \
             (0, out_path.read_text(encoding="utf-8"), [])
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("how", [">&-", "</dev/null"], ids=["closed", "unwritable"])
+    def test_closed_standard_error_does_not_stop_the_batch(self, tmp_path, capsys, jobs, how):
+        # Closed at start, standard error is None, and print() would write
+        # its text to standard output; open for reading only, each write to
+        # it fails with EBADF.
+        inp = self.write_input(tmp_path, [
+            '{"id":"a","evidence":[{"text":"a"}]}',
+            "not json",
+            '{"id":"sad","evidence":[]}',
+            '{"id":"b","evidence":[{"text":"b"}]}',
+        ])
+        argv = ["decode", "--jobs", jobs, "--input", str(inp)]
+        code, want, err = self.run_captured(capsys, argv)
+        assert code == 1 and len(err) == 2
+        assert [json.loads(line)["id"] for line in want.splitlines()] == ["a", "b"]
+        assert self.run_closed(2, argv, how) == (1, want, [])
+        out_path = tmp_path / "out.jsonl"
+        assert self.run_closed(2, [*argv, "--output", str(out_path)], how) == (1, "", [])
+        assert out_path.read_text(encoding="utf-8") == want
+        assert self.run_closed(2, [*argv, "--ngram", "0"], how) == (2, "", [])
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_unexpected_exception_is_a_line_error(self, tmp_path, capsys, monkeypatch, jobs):
@@ -1377,6 +1401,117 @@ class TestDecodeCommand:
         raw = out.read_bytes()
         assert raw.endswith(b"\n")
         assert b"\r" not in raw
+
+
+#: Entries no external matrix may hold, as JSON text.
+HOSTILE_ENTRIES = ("NaN", "Infinity", "-Infinity", "1e999", str(10**400), "-" + str(10**400),
+                   "true", "false", "null", '"0.5"', '"abc"', "[1]", "[[0.5]]", "[]", "{}")
+#: Entries that hold, as JSON text.
+EDGE_ENTRIES = ("0", "-0.0", "5e-324", "1e-320", "1.7976931348623157e308",
+                "-1.7976931348623157e308", str(2**64 + 1), "0.30000000000000004")
+
+
+def mutated_external_line(rng: random.Random, line_id: str) -> str:
+    """One external instance as a JSONL line, its matrix made wrong in at
+    most two ways: hostile entries, ragged, empty, missing or extra rows,
+    ``[]``, a width other than the hypotheses', rows or a matrix that are
+    not arrays, or no matrix at all. A third of the lines are left whole.
+    Hypotheses, when given, are drawn from three texts, so that
+    --dedup-hypotheses often drops columns."""
+    evidence = [rng.choice("abc") for _ in range(rng.randint(1, 4))]
+    hypotheses = None if rng.random() < 0.3 else [rng.choice("xyz")
+                                                  for _ in range(rng.randint(1, 4))]
+    width = len(evidence if hypotheses is None else hypotheses)
+    rows = [[rng.choice(EDGE_ENTRIES) if rng.random() < 0.2 else repr(rng.uniform(-2.0, 2.0))
+             for _ in range(width)] for _ in evidence]
+    matrix = None
+    for _ in range(0 if rng.random() < 1 / 3 else rng.randint(1, 2)):
+        kind = rng.randrange(12)  # entries three times as often
+        row = rng.randrange(len(rows)) if rows else None
+        if kind < 3 and row is not None and rows[row]:
+            rows[row][rng.randrange(len(rows[row]))] = rng.choice(HOSTILE_ENTRIES)
+        elif kind == 3 and row is not None and rows[row]:
+            rows[row].pop()
+        elif kind == 4 and row is not None:
+            rows[row].append("0.5")
+        elif kind == 5 and row is not None:
+            rows[row] = []
+        elif kind == 6 and rows:
+            rows.pop()
+        elif kind == 7:
+            rows.append(["0.5"] * width)
+        elif kind == 8:
+            rows = []
+        elif kind == 9:
+            extra = rng.choice((-1, 1))
+            rows = [r[:width + extra] if extra < 0 else r + ["1"] for r in rows]
+        elif kind == 10:
+            matrix = rng.choice(('{}', '3', '"x"', "null", "[1,2]", "[[1],2]"))
+        elif kind == 11:
+            matrix = "absent"
+    fields = ['"id":"%s"' % line_id,
+              '"evidence":[%s]' % ",".join('{"text":"%s"}' % t for t in evidence)]
+    if hypotheses is not None:
+        fields.append('"hypotheses":[%s]' % ",".join('{"text":"%s"}' % t for t in hypotheses))
+    if matrix != "absent":
+        fields.append('"external_gain":%s' % (
+            matrix or "[%s]" % ",".join("[%s]" % ",".join(r) for r in rows)))
+    return "{%s}" % ",".join(fields)
+
+
+class TestExternalCorpus:
+    """A seeded corpus of mutated external lines against the line
+    contract, through ``decode`` and ``matrix``, with and without
+    --dedup-hypotheses, at --jobs 1 and 2."""
+
+    LINES = 240
+
+    def corpus(self, seed: int) -> list[str]:
+        """The corpus as input lines, each line's id its line number, with
+        a blank line now and then."""
+        rng, lines = random.Random(seed), []
+        while len(lines) < self.LINES:
+            if rng.random() < 0.05:
+                lines.append("")
+            lines.append(mutated_external_line(rng, str(len(lines) + 1)))
+        return lines
+
+    @pytest.mark.parametrize("command", ["decode", "matrix"])
+    @pytest.mark.parametrize("dedup", [False, True], ids=["all", "dedup"])
+    def test_every_line_is_one_result_or_one_error(self, tmp_path, capsys, command, dedup):
+        from mbrkit import cli
+
+        lines = self.corpus(seed=31)
+        inp = tmp_path / "in.jsonl"
+        inp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = [command, "--metric", "external", "--input", str(inp)] + \
+            ["--dedup-hypotheses"] * dedup
+        # Every failure is an MbrError, so none reaches the generic branch
+        # of _process_line; anything else fails here with its traceback.
+        args = cli.build_parser().parse_args(argv)
+        config = cli.config_from_args(args)
+        echo = RawJson(dumps(args.echo(config)))
+        ok = set()
+        for line_no, raw in enumerate(lines, start=1):
+            if raw:
+                try:
+                    dumps(args.record(parse_instance_line(raw, line_no), config, echo))
+                    ok.add(line_no)
+                except mbrkit.MbrError:
+                    pass
+        runs = {}
+        for jobs in ("1", "2"):
+            code = run([*argv, "--jobs", jobs])
+            captured = capsys.readouterr()
+            runs[jobs] = code, captured.out, captured.err
+        assert runs["1"] == runs["2"]
+        code, out, err = runs["1"]
+        assert "Traceback" not in err
+        results = [int(json.loads(line)["id"]) for line in out.splitlines()]
+        errors = [int(re.match(r"line (\d+)[:,]", e).group(1)) for e in err.splitlines()]
+        assert results == sorted(ok) and errors == sorted(set(errors))
+        assert sorted(results + errors) == [k for k, raw in enumerate(lines, start=1) if raw]
+        assert code == 1 and 0 < len(results) < len(lines) // 2
 
 
 class TestHelpText:

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import pickle
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -382,6 +383,68 @@ class TestValidateInstance:
             inst, GainSpec(kind="external"), WeightSpec(), dedup_hypotheses=True
         )
         assert checked.external_gain == ((0.1, 0.3), (0.4, 0.6))
+
+    @pytest.mark.parametrize("hypotheses", [None, (), ("x", "y")], ids=["none", "0", "2"])
+    def test_external_matrix_of_no_rows_is_empty(self, hypotheses):
+        # No evidence, so validation refuses the instance first; the gain
+        # table gives the (0, H) matrix every other gain gives.
+        hyps = None if hypotheses is None else tuple(Candidate(text=t) for t in hypotheses)
+        inst = Instance(id="x", evidence=(), hypotheses=hyps, external_gain=())
+        spec = GainSpec(kind="external")
+        matrix = gain_matrix(inst, spec)
+        assert matrix.shape == (0, len(hypotheses or ())) and matrix.dtype == np.float64
+        assert metrics.gain_table(inst, spec).shape == matrix.shape
+
+    @staticmethod
+    def external_checks(rows, dedup=False):
+        """Validation (with ``dedup``), gain_matrix and gain_table of an
+        external instance of two evidence samples against hypotheses x, x
+        and y, its matrix ``rows``."""
+        inst = Instance(id="t", evidence=(Candidate(text="a"), Candidate(text="b")),
+                        hypotheses=tuple(Candidate(text=t) for t in "xxy"), external_gain=rows)
+        spec = GainSpec(kind="external")
+        return (lambda: validate_instance(inst, spec, WeightSpec(), dedup).external_gain,
+                lambda: gain_matrix(inst, spec), lambda: metrics.gain_table(inst, spec).matrix())
+
+    # Single bad entries of an API matrix: each caller raises what float()
+    # of the entry raises, as when every entry was converted by float().
+    # numpy reads None as NaN, and reads a list of one number in a matrix of
+    # such lists as a third axis.
+    @pytest.mark.parametrize("bad, error, rows", [
+        (None, TypeError, ((0.5, 1.0, None), (0.0, 0.25, 1.0))),
+        ("abc", ValueError, ((0.5, 1.0, 2.0), (0.0, "abc", 1.0))),
+        (10**400, OverflowError, ((0.5, 1.0, 2.0), (10**400, 0.25, 1.0))),
+        ([1], TypeError, ((0.5, [1], 2.0), (0.0, 0.25, 1.0))),
+        ([0.5], TypeError, (([0.5], [1.0], [2.0]), ([0.0], [0.25], [1.0]))),
+        (None, TypeError, ((0.5, math.nan, None), (0.0, 0.25, 1.0))),
+    ], ids=["none", "string", "huge-int", "nested", "all-nested", "none-after-nan"])
+    @pytest.mark.parametrize("dedup", [False, True], ids=["all", "dedup"])
+    def test_unconvertible_external_entry_raises_as_float_does(self, bad, error, rows, dedup):
+        with pytest.raises(error) as expected:
+            float(bad)
+        for check in self.external_checks(rows, dedup):
+            with pytest.raises(error) as err:
+                check()
+            assert type(err.value) is error and str(err.value) == str(expected.value)
+
+    @pytest.mark.parametrize("entry", ["0.5", True, Decimal("0.1"), 2**64 + 1, 2**53 + 1,
+                                       np.float32(0.1), "-0.0", "1_000"],
+                             ids=["string", "bool", "decimal", "big-int", "rounded-int", "float32",
+                                  "signed-zero", "underscored"])
+    def test_convertible_external_entry_is_its_float(self, entry):
+        rows = ((0.5, entry, 2.0), (0.0, 0.25, entry))
+        want = tuple(tuple(float(v) for v in row) for row in rows)
+        checked, matrix, table = (check() for check in self.external_checks(rows))
+        assert checked == want
+        assert all(type(v) is float for row in checked for v in row)
+        assert [[math.copysign(1.0, v) for v in row] for row in checked] == \
+            [[math.copysign(1.0, v) for v in row] for row in want]
+        for got in (matrix, table):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.tobytes() == np.array(want).tobytes()
+        deduped = self.external_checks(rows, dedup=True)[0]()
+        assert deduped == tuple((row[0], row[2]) for row in want)
+        assert all(type(v) is float for row in deduped for v in row)
 
     def test_list_fields_coerced_to_tuples(self):
         inst = Instance(
