@@ -18,7 +18,7 @@ import argparse
 import os
 import sys
 from collections import deque
-from contextlib import ExitStack, suppress
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 from itertools import chain, repeat
 from typing import TYPE_CHECKING
@@ -318,14 +318,25 @@ def _open_path(flag: str, path: str | int, mode: str, **kwargs):
         raise ConfigError(f"{flag} {path}: {exc.strerror or exc}") from None
 
 
+def _to_null(stream) -> None:
+    """Point ``stream``'s file descriptor at the null device: what is still
+    buffered for it, what is written to it later and the interpreter's last
+    flush all succeed and are dropped."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def _report(text: str) -> None:
     """Write ``text`` as one line to standard error. A standard error that
     is closed (``None``, where ``print`` would write to standard output)
-    or that fails the write drops the line: it never stops the run or
-    reaches the results."""
-    if sys.stderr is not None:
-        with suppress(OSError):
-            sys.stderr.write(text + "\n")
+    or that fails the write drops the line, and an unwritable one this and
+    every later line (:func:`_to_null`): it never stops the run, reaches
+    the results or changes the exit code."""
+    if sys.stderr is None:
+        return
+    try:
+        sys.stderr.write(text + "\n")
+    except OSError:
+        _to_null(sys.stderr)
 
 
 def _run_batch(config: RunConfig, record_fn, echo: dict) -> int:
@@ -432,7 +443,7 @@ def run(argv=None) -> int:
     except BrokenPipeError:
         # The reader closed standard output: what is still buffered for it
         # goes to the null device, so the interpreter's last flush is quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _to_null(sys.stdout)
         return 1
 
 

@@ -309,21 +309,15 @@ def evidence_model_ids(evidence: Side, mixture_weights: dict[str, float] | None)
 
 
 def require_external_gain(inst: Instance, gain: GainSpec) -> np.ndarray | None:
-    """The instance's external gain matrix as a C-ordered float64 array,
-    checked: an ``external`` gain requires one, and any matrix must have
-    one row per evidence sample, one entry per hypothesis in each row (per
-    evidence sample when the instance has no hypotheses) and finite
-    entries, the first non-finite one in row-major order named. The one
-    home of this rule: :func:`validate_instance` and
-    :func:`mbrkit.metrics.gain_table` both call it.
-
-    The entries are converted by one ``np.array`` and checked by one
-    ``np.isfinite``. Only a matrix that fails there is converted again
-    entry by entry with ``float()``, so that an entry ``float()`` cannot
-    convert raises its error, as it would in a per-entry conversion
-    (numpy reads ``None`` as NaN, and a matrix of one-number lists as a
-    third axis); so is a matrix of no rows, which numpy reads as 1-D.
-    """
+    """The instance's external gain matrix as a float64 array, checked: an
+    ``external`` gain requires one, and any matrix must have one row per
+    evidence sample, one entry per hypothesis in each row (per evidence
+    sample when the instance has no hypotheses) and finite entries, the
+    first non-finite one in row-major order named. Each entry is converted
+    with ``float()`` first, so an entry it cannot convert raises its error.
+    The array is rows by width even when there are no rows. The one home
+    of this rule: :func:`validate_instance` and
+    :func:`mbrkit.metrics.gain_table` both call it."""
     external = inst.external_gain
     if external is None:
         if gain.kind == "external":
@@ -331,6 +325,7 @@ def require_external_gain(inst: Instance, gain: GainSpec) -> np.ndarray | None:
                 "gain kind 'external' requires the instance to carry an external_gain matrix"
             )
         return None
+    external = [[float(v) for v in row] for row in external]
     rows = len(inst.evidence)
     width = rows if inst.hypotheses is None else len(inst.hypotheses)
     if len(external) != rows:
@@ -342,16 +337,11 @@ def require_external_gain(inst: Instance, gain: GainSpec) -> np.ndarray | None:
         if len(row) != width:
             raise MatrixShapeMismatchError(
                 f"external_gain[{i}] has {len(row)} entries, expected {width}")
-    try:
-        matrix = np.array(external, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        matrix = None
-    if matrix is None or matrix.shape != (rows, width) or not np.isfinite(matrix).all():
-        matrix = np.array([[float(v) for v in row] for row in external]).reshape(rows, width)
-        finite = np.isfinite(matrix)
-        if not finite.all():
-            i, j = np.argwhere(~finite)[0]
-            raise NonFiniteValueError(f"external_gain[{i}][{j}] is {matrix[i, j].item()!r}")
+    matrix = np.array(external, dtype=np.float64).reshape(rows, width)
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise NonFiniteValueError(f"external_gain[{i}][{j}] is {external[i][j]!r}")
     return matrix
 
 

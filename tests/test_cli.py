@@ -1273,6 +1273,21 @@ class TestDecodeCommand:
         assert out_path.read_text(encoding="utf-8") == want
         assert self.run_closed(2, [*argv, "--ngram", "0"], how) == (2, "", [])
 
+    @pytest.mark.parametrize("extra, code", [([], 1), (["--ngram", "0"], 2)],
+                             ids=["line-errors", "config-error"])
+    def test_unwritable_buffered_standard_error_keeps_the_exit_code(self, tmp_path, extra, code):
+        # A buffered standard error keeps the bytes of a failed write; if they
+        # were still there at exit, the interpreter's last flush would fail
+        # too and turn the exit code into 120.
+        inp = self.write_input(tmp_path, ["not json", "not json"])
+        script = ("import io, sys; sys.stderr = io.TextIOWrapper(open(2, 'wb', closefd=False),"
+                  " line_buffering=True); from mbrkit.cli import run; sys.exit(run(sys.argv[1:]))")
+        env = {**os.environ, "PYTHONPATH": str(Path(mbrkit.__file__).resolve().parents[1])}
+        proc = subprocess.run(["sh", "-c", 'exec "$@" 2</dev/null', "sh", sys.executable, "-c",
+                               script, "decode", "--input", str(inp), *extra],
+                              stdin=subprocess.DEVNULL, capture_output=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, b"", b"")
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_unexpected_exception_is_a_line_error(self, tmp_path, capsys, monkeypatch, jobs):
         from mbrkit import cli

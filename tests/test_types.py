@@ -446,6 +446,28 @@ class TestValidateInstance:
         assert deduped == tuple((row[0], row[2]) for row in want)
         assert all(type(v) is float for row in deduped for v in row)
 
+    # float() runs on every entry before the shape is checked: a bad entry
+    # of a misshapen matrix raises float()'s error, a row that is not
+    # iterable raises iteration's, and rows and matrices that are generators
+    # are read as they come.
+    @pytest.mark.parametrize("rows, expected", [
+        (lambda: ((0.5, None),), lambda: float(None)),
+        (lambda: ((0.5, 1.0, 2.0), ("abc",)), lambda: float("abc")),
+        (lambda: ((0.5, 1.0, 2.0), 7), lambda: iter(7)),
+        (lambda: (iter(row) for row in ((0.5, 1.0, 2.0), (0.0, 0.25, 1.0))), None),
+    ], ids=["misshapen-none", "misshapen-string", "row-not-iterable", "generators"])
+    def test_entries_are_converted_before_the_shape_is_checked(self, rows, expected):
+        for k in range(3):
+            check = self.external_checks(rows())[k]
+            if expected is None:
+                assert np.array(check()).tolist() == [[0.5, 1.0, 2.0], [0.0, 0.25, 1.0]]
+                continue
+            with pytest.raises(Exception) as want:
+                expected()
+            with pytest.raises(Exception) as err:
+                check()
+            assert type(err.value) is type(want.value) and str(err.value) == str(want.value)
+
     def test_list_fields_coerced_to_tuples(self):
         inst = Instance(
             id="t",
